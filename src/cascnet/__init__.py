@@ -28,7 +28,7 @@ from .search import (CriticalResult, GraphCache, HeatmapResult, SweepResult,
                      attack_sweep, compare_strategies, critical_attack_size,
                      fcc_grid_sweep, heatmap_to_csv,
                      make_meanfield_runner, make_montecarlo_runner,
-                     sweep_to_csv)
+                     meanfield_sweep, sweep_to_csv)
 from .strategies import (FCC, SBD, SWO, CouplingDecision, CouplingStrategy,
                          NetView, SwoCoefficients, decide, sbd_coefficients,
                          swo_build_uniform, swo_model_objective,

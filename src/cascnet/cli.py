@@ -50,11 +50,11 @@ from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
 from .distributions import (DistributionSpec, Point, ShiftedExponential,
                             Uniform)
 from .meanfield import Outcome, mf_run, trajectory_to_csv
-from .montecarlo import mc_run
+from .montecarlo import SimulationError, mc_run
 from .search import (GraphCache, attack_sweep, compare_strategies,
                      critical_attack_size, fcc_grid_sweep, heatmap_to_csv,
                      make_meanfield_runner, make_montecarlo_runner,
-                     sweep_to_csv)
+                     meanfield_sweep, sweep_to_csv)
 from .strategies import FCC, SBD, SWO, CouplingStrategy
 
 try:
@@ -439,10 +439,11 @@ def cmd_critical(cfg: RunConfig, out_dir: Path) -> int:
     _require(cfg, "attack_shape", "critical")
     nets = list(cfg.networks)
     if cfg.engine == "meanfield":
-        runner = make_meanfield_runner(nets, cfg.strategy(), cfg.attack_shape)
+        runner = make_meanfield_runner(nets, cfg.strategy(), cfg.attack_shape,
+                                       cfg.max_steps)
     else:
         runner = make_montecarlo_runner(nets, cfg.strategy(), cfg.attack_shape,
-                                        cfg.seeds)
+                                        cfg.seeds, max_steps=cfg.max_steps)
     res = critical_attack_size(runner, cfg.tol)
     with open(out_dir / "critical.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -459,18 +460,12 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     _require(cfg, "attack_shape", "sweep")
     nets = list(cfg.networks)
     if cfg.engine == "meanfield":
-        counts = tuple(n.node_count for n in nets)
-        means = []
-        for g in cfg.attack_grid:
-            traj = mf_run(nets, AttackSpec(tuple(g * s for s in cfg.attack_shape)),
-                          cfg.strategy(), max_steps=cfg.max_steps)
-            means.append(traj.surviving_portion(counts))
-        from .search import SweepResult
-        result = SweepResult(cfg.attack_grid, tuple(means),
-                             (0.0,) * len(means), 1)
+        result = meanfield_sweep(nets, cfg.strategy(), cfg.attack_grid,
+                                 cfg.attack_shape, cfg.max_steps)
     else:
         result = attack_sweep(nets, cfg.strategy(), cfg.attack_grid,
-                              cfg.attack_shape, cfg.seeds)
+                              cfg.attack_shape, cfg.seeds,
+                              max_steps=cfg.max_steps)
     sweep_to_csv(result, str(out_dir / "sweep.csv"))
     _write_manifest(out_dir, cfg, "sweep", ["sweep.csv"])
     print(f"wrote {out_dir / 'sweep.csv'}")
@@ -482,7 +477,8 @@ def cmd_heatmap(cfg: RunConfig, out_dir: Path) -> int:
     result = fcc_grid_sweep(list(cfg.networks), cfg.attack_shape,
                             resolution=cfg.resolution, clip_floor=cfg.clip_floor,
                             tol=cfg.tol, seeds=cfg.seeds,
-                            use_meanfield=(cfg.engine == "meanfield"))
+                            use_meanfield=(cfg.engine == "meanfield"),
+                            max_steps=cfg.max_steps)
     heatmap_to_csv(result, str(out_dir / "heatmap.csv"))
     _write_manifest(out_dir, cfg, "heatmap", ["heatmap.csv"])
     a, b = result.argmax
@@ -497,7 +493,8 @@ def cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     reports = compare_strategies(list(cfg.networks), strategies,
                                  cfg.attack_grid, cfg.attack_shape,
                                  seeds=cfg.seeds, tol=cfg.tol,
-                                 use_meanfield=(cfg.engine == "meanfield"))
+                                 use_meanfield=(cfg.engine == "meanfield"),
+                                 max_steps=cfg.max_steps)
     with open(out_dir / "compare_sweeps.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["strategy", "attack", "mean_fraction", "std", "n_runs"])
@@ -575,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

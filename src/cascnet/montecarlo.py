@@ -26,7 +26,7 @@ import numpy as np
 from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                    EdgeListTopology, ErdosRenyi, NetworkConfig, Topology)
 from .distributions import dist_mean, dist_sample
-from .meanfield import MeanFieldState
+from .meanfield import MeanFieldState, _routed_inbound
 from .strategies import CouplingStrategy, NetView, decide
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -119,7 +119,9 @@ def _erdos_renyi(node_count: int, mean_degree: float, rng: np.random.Generator) 
     while picked.size < m:
         need = m - picked.size
         extra = rng.integers(0, total_pairs, size=int(need * 1.2) + 16, dtype=np.int64)
-        picked = np.unique(np.concatenate([picked, extra]))
+        # Sorted de-duplication; np.unique's hash path is far slower here.
+        picked = np.sort(np.concatenate([picked, extra]))
+        picked = picked[np.concatenate(([True], picked[1:] != picked[:-1]))]
     if picked.size > m:
         picked = rng.permutation(picked)[:m]
     u, v = _pair_from_index(picked, node_count)
@@ -221,37 +223,15 @@ def apply_attack(pop: NodePopulation, p: float, rng: np.random.Generator,
 # Complete-graph (global equal redistribution) stepping
 # ---------------------------------------------------------------------------
 
-def _effective_inbound(pools: list[float], coupling: CouplingMatrix,
-                       live: list[bool]) -> list[float]:
-    """Inbound totals; a dead source network's pool is re-routed over live
-    targets by renormalizing its coupling row."""
-    n = len(pools)
-    recv = [0.0] * n
-    for i in range(n):
-        if pools[i] < 0:
-            raise SimulationError(f"negative pool for network {i}")
-        if pools[i] == 0.0:
-            continue
-        row = [coupling.entry(i, k) for k in range(n)]
-        if not live[i]:
-            mass = sum(row[k] for k in range(n) if live[k])
-            if mass <= 0.0:
-                row = [1.0 if live[k] else 0.0 for k in range(n)]
-                mass = sum(row)
-                if mass == 0.0:
-                    continue  # nothing alive anywhere; caller declares breakdown
-            row = [row[k] / mass if live[k] else 0.0 for k in range(n)]
-        for k in range(n):
-            recv[k] += pools[i] * row[k]
-    return recv
-
-
 def mc_step_complete(pops: list[NodePopulation], pools: list[float],
                      coupling: CouplingMatrix) -> list[float]:
     """One synchronous redistribution step; mutates populations in place and
     returns the next-step pools."""
     live = [p.alive_count > 0 for p in pops]
-    recv = _effective_inbound(pools, coupling, live)
+    for i, pool in enumerate(pools):
+        if pool < 0:
+            raise SimulationError(f"negative pool for network {i}")
+    recv = _routed_inbound(pools, coupling, live)
     next_pools = [0.0] * len(pops)
     for k, pop in enumerate(pops):
         if not live[k]:

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AttackSpec, Complete, CouplingMatrix, NetworkConfig
-from .meanfield import mf_run
-from .montecarlo import generate_graph, mc_run
+from .meanfield import DEFAULT_MAX_STEPS as MF_MAX_STEPS, mf_run
+from .montecarlo import DEFAULT_MAX_STEPS as MC_MAX_STEPS, generate_graph, mc_run
 from .strategies import FCC, CouplingStrategy
 
 DEFAULT_TOL = 1e-3
@@ -90,13 +90,14 @@ def _broken(fractions: Sequence[float], node_counts: Sequence[int]) -> bool:
 
 
 def make_meanfield_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
-                          attack_shape: Sequence[float]) -> Callable[[float], bool]:
+                          attack_shape: Sequence[float],
+                          max_steps: int = MF_MAX_STEPS) -> Callable[[float], bool]:
     """Deterministic breakdown predicate over the attack scale."""
     counts = [c.node_count for c in cfgs]
 
     def runner(scale: float) -> bool:
         attack = AttackSpec(tuple(scale * s for s in attack_shape))
-        traj = mf_run(cfgs, attack, strategy)
+        traj = mf_run(cfgs, attack, strategy, max_steps=max_steps)
         return _broken(traj.final_fractions, counts)
 
     return runner
@@ -123,7 +124,8 @@ class GraphCache:
 
 def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
                            attack_shape: Sequence[float], seeds: Sequence[int],
-                           cache: GraphCache | None = None) -> Callable[[float], bool]:
+                           cache: GraphCache | None = None,
+                           max_steps: int = MC_MAX_STEPS) -> Callable[[float], bool]:
     """Majority-over-seeds breakdown predicate over the attack scale."""
     counts = [c.node_count for c in cfgs]
     cache = cache or GraphCache(cfgs)
@@ -132,7 +134,8 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
         attack = AttackSpec(tuple(scale * s for s in attack_shape))
         broke = 0
         for s in seeds:
-            out = mc_run(cfgs, attack, strategy, seed=s, graphs=cache.graphs(s))
+            out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
+                         graphs=cache.graphs(s))
             broke += _broken(out.final_fractions, counts)
         return 2 * broke > len(seeds)
 
@@ -169,7 +172,8 @@ def critical_attack_size(runner: Callable[[float], bool],
 def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
                  grid: Sequence[float], attack_shape: Sequence[float] = (1.0, 0.0),
                  seeds: Sequence[int] | None = None,
-                 cache: GraphCache | None = None) -> SweepResult:
+                 cache: GraphCache | None = None,
+                 max_steps: int = MC_MAX_STEPS) -> SweepResult:
     """Mean/std of the final surviving portion of the whole system per
     attack size, over a seed batch (default 100 seeds)."""
     if any(not (0.0 <= g <= 1.0) for g in grid):
@@ -182,11 +186,23 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
         attack = AttackSpec(tuple(g * s for s in attack_shape))
         portions = []
         for s in seeds:
-            out = mc_run(cfgs, attack, strategy, seed=s, graphs=cache.graphs(s))
+            out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
+                         graphs=cache.graphs(s))
             portions.append(float(np.dot(out.final_fractions, counts) / counts.sum()))
         means.append(float(np.mean(portions)))
         stds.append(float(np.std(portions)))
     return SweepResult(tuple(grid), tuple(means), tuple(stds), len(list(seeds)))
+
+
+def meanfield_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
+                    grid: Sequence[float], attack_shape: Sequence[float] = (1.0, 0.0),
+                    max_steps: int = MF_MAX_STEPS) -> SweepResult:
+    """Final surviving portion of the whole system per attack size, from one
+    deterministic mean-field run per point (spread 0, n_runs 1)."""
+    counts = tuple(c.node_count for c in cfgs)
+    means = tuple(mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strategy,
+                         max_steps=max_steps).surviving_portion(counts) for g in grid)
+    return SweepResult(tuple(grid), means, (0.0,) * len(means), 1)
 
 
 def _grid(resolution: float) -> tuple[float, ...]:
@@ -203,13 +219,15 @@ def fcc_grid_sweep(cfgs: list[NetworkConfig],
                    seeds: Sequence[int] | None = None,
                    use_meanfield: bool = False,
                    alpha_grid: Sequence[float] | None = None,
-                   beta_grid: Sequence[float] | None = None) -> HeatmapResult:
+                   beta_grid: Sequence[float] | None = None,
+                   max_steps: int | None = None) -> HeatmapResult:
     """Critical attack size per fixed (alpha, beta) coupling pair.
 
     By default the cells are measured with the node-level simulator over a
     shared seed batch; `use_meanfield` switches to the deterministic
     recursion. Cells whose critical size falls below `clip_floor` are
-    reported as the floor.
+    reported as the floor. `max_steps` caps each run (default: the
+    engine's own cap).
     """
     if len(cfgs) != 2:
         raise SearchError("coupling-grid sweep is defined for two networks")
@@ -217,16 +235,17 @@ def fcc_grid_sweep(cfgs: list[NetworkConfig],
     b_grid = tuple(beta_grid) if beta_grid is not None else _grid(resolution)
     cache = GraphCache(cfgs)
     seeds = list(seeds) if seeds is not None else [0]
+    steps = max_steps or (MF_MAX_STEPS if use_meanfield else MC_MAX_STEPS)
     cells = []
     for a in a_grid:
         row = []
         for b in b_grid:
             strat = FCC(CouplingMatrix.two_net(a, b))
             if use_meanfield:
-                runner = make_meanfield_runner(cfgs, strat, attack_shape)
+                runner = make_meanfield_runner(cfgs, strat, attack_shape, steps)
             else:
                 runner = make_montecarlo_runner(cfgs, strat, attack_shape,
-                                                seeds, cache)
+                                                seeds, cache, steps)
             res = critical_attack_size(runner, tol)
             row.append(max(res.value, clip_floor))
         cells.append(tuple(row))
@@ -246,27 +265,23 @@ def compare_strategies(cfgs: list[NetworkConfig],
                        attack_shape: Sequence[float] = (1.0, 0.0),
                        seeds: Sequence[int] | None = None,
                        tol: float = DEFAULT_TOL,
-                       use_meanfield: bool = False) -> list[StrategyReport]:
+                       use_meanfield: bool = False,
+                       max_steps: int | None = None) -> list[StrategyReport]:
     """Sweep + critical size per strategy, sharing one seed batch (and the
-    generated graphs) across strategies for variance reduction."""
+    generated graphs) across strategies for variance reduction. `max_steps`
+    caps each run (default: the engine's own cap)."""
+    steps = max_steps or (MF_MAX_STEPS if use_meanfield else MC_MAX_STEPS)
     seeds = list(range(DEFAULT_SEEDS)) if seeds is None else list(seeds)
     cache = GraphCache(cfgs)
     reports = []
     for name, strat in strategies.items():
         if use_meanfield:
-            counts = [c.node_count for c in cfgs]
-
-            def portion(g, strat=strat):
-                traj = mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strat)
-                return traj.surviving_portion(tuple(counts))
-
-            means = [portion(g) for g in grid]
-            sweep = SweepResult(tuple(grid), tuple(means),
-                                (0.0,) * len(grid), 1)
-            runner = make_meanfield_runner(cfgs, strat, attack_shape)
+            sweep = meanfield_sweep(cfgs, strat, grid, attack_shape, steps)
+            runner = make_meanfield_runner(cfgs, strat, attack_shape, steps)
         else:
-            sweep = attack_sweep(cfgs, strat, grid, attack_shape, seeds, cache)
-            runner = make_montecarlo_runner(cfgs, strat, attack_shape, seeds, cache)
+            sweep = attack_sweep(cfgs, strat, grid, attack_shape, seeds, cache, steps)
+            runner = make_montecarlo_runner(cfgs, strat, attack_shape, seeds, cache,
+                                            steps)
         reports.append(StrategyReport(name, sweep, critical_attack_size(runner, tol)))
     return reports
 

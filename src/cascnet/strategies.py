@@ -12,14 +12,15 @@ the predicted next-step pool of network k is
 where q_k is the cumulative per-node extra load before the current
 redistribution. With uniform free space and the failure window inside the
 support, the probability is u_k / d_k and the objective is an exact convex
-quadratic in the coupling coefficients, solved in closed form over the box.
-Otherwise a grid search over the exact objective is used.
+quadratic in the coupling coefficients, solved in closed form over the box
+for two networks and by exact water-filling over the inbound loads for more
+(Boyd & Vandenberghe, Convex Optimization, 5.5.3). Otherwise (two networks)
+a grid search over the model objective is used.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +67,8 @@ class SBD:
 
 @dataclass(frozen=True)
 class SWO:
-    # One (lo, hi) pair per in-net coefficient; a single pair applies to all.
+    # Two networks: one (lo, hi) pair per in-net coefficient, or a single pair
+    # for both. Three or more: a single pair, applied to every matrix entry.
     bounds: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
     grid_resolution: float = 0.05
 
@@ -353,31 +355,59 @@ def _swo_two_net(strategy: SWO, views: list[NetView]) -> CouplingDecision:
 
 
 # ---------------------------------------------------------------------------
-# n-network convex QP
+# n-network water-filling
 # ---------------------------------------------------------------------------
 
-def _project_row(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Euclidean projection onto {x in [lo, hi]^n : sum(x) = 1}."""
-    n = y.size
+def _water_fill(w: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Minimizer of sum(w*x**2 + g*x) over {x in [lo, hi]^n : sum(x) = 1}, w >= 0.
+
+    KKT: x_k = clip((lam - g_k) / (2 w_k), lo, hi), or for w_k = 0, lo below
+    lam = g_k and hi above it. sum(x) is piecewise linear in lam between the
+    breakpoints g + 2*w*lo and g + 2*w*hi, so lam is found exactly from the
+    sorted breakpoints. Ties (w_k = 0, g_k = lam) take the leftover in index
+    order, each up to hi. With w = 1, g = -2y this projects y onto the set.
+    """
+    n = w.size
     if n * lo > 1.0 + 1e-12 or n * hi < 1.0 - 1e-12:
         raise StrategyError(f"infeasible bounds: row of {n} entries in [{lo}, {hi}] cannot sum to 1")
-    t_lo, t_hi = y.min() - hi, y.max() - lo
-    for _ in range(100):
-        tau = 0.5 * (t_lo + t_hi)
-        s = np.clip(y - tau, lo, hi).sum()
-        if s > 1.0:
-            t_lo = tau
-        else:
-            t_hi = tau
-    return np.clip(y - 0.5 * (t_lo + t_hi), lo, hi)
+    pos = w > 0
+    inv = np.where(pos, 0.5 / np.where(pos, w, 1.0), 0.0)
+
+    def at(lam, ties_high: bool) -> np.ndarray:
+        step = (g <= lam) if ties_high else (g < lam)
+        return np.where(pos, np.clip((lam - g) * inv, lo, hi), np.where(step, hi, lo))
+
+    bps = np.unique(np.concatenate([g + 2.0 * w * lo, g + 2.0 * w * hi]))
+    # First breakpoint whose sum, ties at hi, reaches 1 (sums are non-decreasing).
+    j = min(int(np.searchsorted(at(bps[:, None], True).sum(axis=1), 1.0)), bps.size - 1)
+    x = at(bps[j], False)
+    if x.sum() <= 1.0 or j == 0:  # lam = bps[j]
+        ties = ~pos & (g == bps[j])
+        x[ties] += np.clip(1.0 - x.sum() - (hi - lo) * np.arange(ties.sum()), 0.0, hi - lo)
+        return x
+    # lam lies inside (bps[j-1], bps[j]), where the set of free entries is fixed.
+    x = at(0.5 * (bps[j - 1] + bps[j]), False)
+    free = pos & (x > lo) & (x < hi)
+    rest = 1.0 - x[~free].sum()
+    lam = (rest + (g * inv)[free].sum()) / inv[free].sum()
+    t = (lam - g[free]) * inv[free]
+    x[free] = t * (rest / t.sum())  # lam - g may cancel; keep the sum exact
+    return x
 
 
-def swo_solve_multinet(views: list[NetView], bounds: tuple[float, float] = (0.0, 1.0),
-                       kkt_tol: float = 1e-8, max_iter: int = 200_000) -> CouplingMatrix:
+def swo_solve_multinet(views: list[NetView],
+                       bounds: tuple[float, float] = (0.0, 1.0)) -> CouplingMatrix:
     """Row-stochastic coupling matrix minimizing predicted next-step extra load
-    for n networks with uniform free space, via projected accelerated descent.
+    for n networks with uniform free space, by exact water-filling.
 
-    Terminates when the projected-gradient (KKT) residual drops below kkt_tol.
+    The objective is sum(w_k r_k^2 + g_k r_k) in the inbound loads r_k, with
+    w_k = c_k / a_k^2, g_k = c_k (E[L_k] + q_k) / a_k, a_k the survivors and
+    c_k = (1 - p_k) N_k / d_k, zero for a dead network or one with q_k at or
+    past the top of its support. Feasible r form {lo*P <= r_k <= hi*P,
+    sum(r) = P}, P the total pool; the optimum is returned as identical rows
+    r_k / P. Zero-cost networks tie: leftover load fills them in index order,
+    each up to hi*P. With P = 0 or every c_k = 0 the SBD row, projected onto
+    the bounds, is returned.
     """
     n = len(views)
     if n < 2:
@@ -389,47 +419,20 @@ def swo_solve_multinet(views: list[NetView], bounds: tuple[float, float] = (0.0,
 
     pools = np.array([v.pool for v in views])
     alive = np.array([max(v.n_alive, 0.0) for v in views])
-    c = np.zeros(n)
-    ell = np.zeros(n)
+    c, ell = np.zeros(n), np.zeros(n)
     for k, v in enumerate(views):
-        d = v.space_dist.hi - v.space_dist.lo
-        live = v.n_alive > 0 and v.q_cum < v.space_dist.hi
-        c[k] = (1.0 - v.attack_frac) * v.node_count / d if live else 0.0
-        ell[k] = v.load_mean + v.q_cum
+        if v.n_alive > 0 and v.q_cum < v.space_dist.hi:  # else zero cost (q_cum may be inf)
+            c[k] = (1.0 - v.attack_frac) * v.node_count / (v.space_dist.hi - v.space_dist.lo)
+            ell[k] = v.load_mean + v.q_cum
     inv_alive = np.where(alive > 0, 1.0 / np.maximum(alive, 1e-300), 0.0)
-
-    def grad(m: np.ndarray) -> np.ndarray:
-        u = (m.T @ pools) * inv_alive
-        gu = c * (ell + 2.0 * u) * inv_alive  # d obj / d u_k scaled to matrix entries
-        return np.outer(pools, gu)
-
-    def project(m: np.ndarray) -> np.ndarray:
-        return np.vstack([_project_row(row, lo, hi) for row in m])
-
-    # Start from the surviving-count-proportional (SBD-analogue) matrix.
-    if alive.sum() > 0:
-        x = np.tile(alive / alive.sum(), (n, 1))
+    total = pools.sum()
+    if total > 0.0 and c.any():
+        # Rows hold x = r / P, which scales the weights to (w * P, g).
+        row = _water_fill(c * inv_alive ** 2 * total, c * ell * inv_alive, lo, hi)
     else:
-        x = np.full((n, n), 1.0 / n)
-    x = project(x)
-
-    lip = float(np.max(2.0 * c * inv_alive ** 2) * np.dot(pools, pools))
-    if lip <= 0.0:
-        return CouplingMatrix.from_array(x)
-    step = 1.0 / lip
-
-    y, t_mom = x.copy(), 1.0
-    for _ in range(max_iter):
-        g = grad(y)
-        x_new = project(y - step * g)
-        resid = float(np.max(np.abs(x - project(x - step * grad(x))))) / step
-        if resid < kkt_tol:
-            x = x_new
-            break
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = x_new + (t_mom - 1.0) / t_new * (x_new - x)
-        x, t_mom = x_new, t_new
-    cm = CouplingMatrix.from_array(project(x))
+        sbd = alive / alive.sum() if alive.sum() > 0 else np.full(n, 1.0 / n)
+        row = _water_fill(np.ones(n), -2.0 * sbd, lo, hi)
+    cm = CouplingMatrix.from_array(np.tile(row, (n, 1)))
     validate_coupling(cm)
     return cm
 
@@ -463,6 +466,8 @@ def decide(strategy: CouplingStrategy, views: list[NetView], t: int) -> Coupling
     if isinstance(strategy, SWO):
         if n == 2:
             return _swo_two_net(strategy, views)
-        matrix = swo_solve_multinet(views, strategy.bound(0))
+        if len(strategy.bounds) > 1:
+            raise StrategyError(f"SWO on {n} networks takes a single bounds pair")
+        matrix = swo_solve_multinet(views, strategy.bounds[0])
         return CouplingDecision(matrix, multinet_objective(matrix, views))
     raise StrategyError(f"unknown strategy {strategy!r}")

@@ -174,6 +174,48 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_simulation_error_returns_2(self, tmp_path, capsys):
+        # Local redistribution needs equal node counts; the engine refuses.
+        cfg = (BASE.replace("engine = meanfield", "engine = montecarlo")
+               .replace("net0.nodes = 1000000", "net0.nodes = 200")
+               .replace("net1.nodes = 1000000", "net1.nodes = 300")
+               .replace("topology = complete", "topology = er(4)"))
+        rc = main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,engine,extra", [
+    ("critical", "meanfield", ""),
+    ("critical", "montecarlo", ""),
+    ("sweep", "meanfield", ""),
+    ("sweep", "montecarlo", ""),
+    ("heatmap", "meanfield", "resolution = 0.5\n"),
+    ("compare", "meanfield", "compare = sbd,swo\n"),
+    ("compare", "montecarlo", "compare = sbd\n"),
+], ids=["critical-mf", "critical-mc", "sweep-mf", "sweep-mc", "heatmap-mf",
+        "compare-mf", "compare-mc"])
+def test_max_steps_reaches_every_engine_run(tmp_path, monkeypatch, command,
+                                            engine, extra):
+    import cascnet.search as search
+    seen = []
+
+    def spy(run):
+        def wrapped(*args, max_steps, **kwargs):
+            seen.append(max_steps)
+            return run(*args, max_steps=max_steps, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(search, "mf_run", spy(search.mf_run))
+    monkeypatch.setattr(search, "mc_run", spy(search.mc_run))
+    cfg = (BASE.replace("engine = meanfield", f"engine = {engine}")
+           .replace("1000000", "2000") + "max_steps = 3\n" + extra)
+    rc = main([command, "--config", write_cfg(tmp_path, cfg),
+               "--out-dir", str(tmp_path / "out"), "--tol", "0.1"])
+    assert rc == 0
+    assert seen and set(seen) == {3}
+
 
 def test_emit_config_is_parseable_from_defaults():
     cfg = parse_config(BASE)

@@ -12,6 +12,7 @@ from cascnet.meanfield import (InitiationCase, MeanFieldError, Outcome,
                                mf_classify_initiation, mf_init, mf_run,
                                mf_step, rkg_identical_step, rkg_run,
                                trajectory_to_csv)
+from cascnet.search import critical_attack_size, make_meanfield_runner
 from cascnet.strategies import FCC, SBD, SWO
 
 N = 10 ** 6
@@ -122,6 +123,25 @@ class TestOutcomes:
                       FCC(CouplingMatrix.two_net(1.0, 1.0)))
         assert traj.steps[0].q_cum[1] == pytest.approx(75.0)
         assert traj.final.q_cum[1] >= 75.0
+
+
+class TestThreeNetworks:
+    def test_swo_run_near_sbd_critical_attack(self):
+        # Three uniform networks near the edge: late steps redistribute tiny
+        # pools, where the water-filling's lam - g cancellation is largest.
+        cfgs = [NetworkConfig(0, 10 ** 5, Point(75.0), Uniform(20, 180)),
+                NetworkConfig(1, 10 ** 5, Point(75.0), Uniform(40, 280)),
+                NetworkConfig(2, 10 ** 5, Point(75.0), Uniform(30, 230))]
+        shape = (1.0, 1.0, 1.0)
+        crit = critical_attack_size(make_meanfield_runner(cfgs, SBD(), shape)).value
+        attack = AttackSpec(tuple(0.95 * crit * s for s in shape))
+        traj, decisions = mf_run(cfgs, attack, SWO(), record_decisions=True)
+        assert traj.outcome is Outcome.SURVIVED
+        assert min(traj.final_fractions) > 0.5
+        for dec in decisions:
+            m = dec.matrix.as_array()
+            assert (m == m[0]).all()
+            assert abs(m[0].sum() - 1.0) <= 1e-12
 
 
 class TestSingleNetworkReduction:

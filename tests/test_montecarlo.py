@@ -143,6 +143,26 @@ class TestGraphs:
         for v in range(200):
             assert sorted(g2.neighbors(v).tolist()) == sorted(g.neighbors(v).tolist())
 
+    @pytest.mark.parametrize("n,degree", [(30, 25.0), (60, 20.0), (200, 6.0)])
+    def test_erdos_renyi_matches_unique_construction(self, n, degree):
+        # The sampler de-duplicates with a sort; it must give the graph the
+        # np.unique construction gives from the same draws.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            total = n * (n - 1) // 2
+            m = int(rng.binomial(total, degree / (n - 1)))
+            picked = np.empty(0, dtype=np.int64)
+            while picked.size < m:
+                extra = rng.integers(0, total, size=int((m - picked.size) * 1.2) + 16,
+                                     dtype=np.int64)
+                picked = np.unique(np.concatenate([picked, extra]))
+            if picked.size > m:
+                picked = rng.permutation(picked)[:m]
+            want = _edges_to_csr(n, *_pair_from_index(picked, n))
+            got = generate_graph(ErdosRenyi(degree), n, seed)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+
     def test_pair_index_inversion(self):
         n = 50
         k = np.arange(n * (n - 1) // 2, dtype=np.int64)

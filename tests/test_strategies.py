@@ -181,13 +181,13 @@ class TestMultinet:
         rng = np.random.default_rng(42)
         for _ in range(2):
             views = random_views(rng)
-            full = swo_solve_multinet(views, kkt_tol=1e-5, max_iter=20_000)
+            full = swo_solve_multinet(views)
             two = decide(SWO(), views, 1).matrix
             assert multinet_objective(full, views) <= multinet_objective(two, views) * (1 + 1e-4)
 
     def test_symmetric_three_network_solution(self):
         views = [make_view(), make_view(), make_view()]
-        m = swo_solve_multinet(views, kkt_tol=1e-6, max_iter=50_000).as_array()
+        m = swo_solve_multinet(views).as_array()
         assert np.allclose(m, m[0], atol=1e-6)  # all rows identical
         assert np.allclose(m[0], [1 / 3] * 3, atol=1e-6)
 
@@ -196,7 +196,109 @@ class TestMultinet:
         views = [make_view(n_alive=rng.uniform(1e5, 9e5),
                            pool=rng.uniform(1e6, 4e7),
                            q_cum=rng.uniform(20, 100)) for _ in range(4)]
-        m = swo_solve_multinet(views, bounds=(0.05, 0.9),
-                               kkt_tol=1e-5, max_iter=20_000).as_array()
+        m = swo_solve_multinet(views, bounds=(0.05, 0.9)).as_array()
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-9)
         assert (m >= 0.05 - 1e-9).all() and (m <= 0.9 + 1e-9).all()
+
+
+def quad_objective(row, views):
+    """The solver's model: sum of c_k * u_k * (E[L_k] + q_k + u_k) over live
+    networks inside their support, for identical matrix rows `row` (or a
+    stack of candidate rows)."""
+    total_pool = sum(v.pool for v in views)
+    value = 0.0
+    for k, v in enumerate(views):
+        sd = v.space_dist
+        if v.n_alive <= 0 or v.q_cum >= sd.hi:
+            continue
+        u = row[..., k] * total_pool / v.n_alive
+        c = (1.0 - v.attack_frac) * v.node_count / (sd.hi - sd.lo)
+        value += c * u * (v.load_mean + v.q_cum + u)
+    return value
+
+
+def random_multinet_views(rng, n):
+    """Live networks mixed with the solver's corner cases: a dead network,
+    one past the top of its support, one with nothing to redistribute."""
+    views = []
+    for _ in range(n):
+        lo, width = rng.uniform(0, 50), rng.uniform(50, 300)
+        p = rng.uniform(0.0, 0.8)
+        kind = rng.choice(["live", "live", "dead", "saturated", "no_pool"])
+        n_alive = (1.0 - p) * rng.uniform(0.05, 1.0) * 1e6
+        q = rng.uniform(lo, lo + width)
+        pool = rng.uniform(0, 5e7)
+        if kind == "dead":
+            n_alive = 0.0
+            q = q if rng.random() < 0.5 else np.inf
+        elif kind == "saturated":
+            q = lo + width + rng.uniform(0, 20)
+        elif kind == "no_pool":
+            pool = 0.0
+        views.append(make_view(n_alive=n_alive, pool=pool, q_cum=q, attack_frac=p,
+                               space=Uniform(lo, lo + width)))
+    return views
+
+
+class TestWaterFilling:
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.05, 0.9)])
+    def test_row_stochastic_bounded_and_no_worse_than_sbd(self, bounds):
+        rng = np.random.default_rng(11)
+        lo, hi = bounds
+        for _ in range(200):
+            views = random_multinet_views(rng, int(rng.integers(3, 6)))
+            if all(v.n_alive <= 0 for v in views):
+                continue
+            m = swo_solve_multinet(views, bounds).as_array()
+            assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
+            assert m.min() >= lo and m.max() <= hi
+            assert np.all(m == m[0])
+            alive = np.array([v.n_alive for v in views])
+            sbd = alive / alive.sum()
+            if sbd.min() >= lo and sbd.max() <= hi:
+                best = quad_objective(sbd, views)
+                assert quad_objective(m[0], views) <= best + 1e-12 * max(1.0, best)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.05, 0.9)])
+    def test_three_networks_beat_fine_grid(self, bounds):
+        rng = np.random.default_rng(12)
+        lo, hi = bounds
+        axis = np.arange(lo, hi + 1e-9, 0.005)
+        x0, x1 = np.meshgrid(axis, axis, indexing="ij")
+        x2 = 1.0 - x0 - x1
+        keep = (x2 >= lo - 1e-12) & (x2 <= hi + 1e-12)
+        grid = np.stack([x0[keep], x1[keep], np.clip(x2[keep], lo, hi)], axis=1)
+        for _ in range(40):
+            views = random_multinet_views(rng, 3)
+            if all(v.n_alive <= 0 for v in views):
+                continue
+            row = swo_solve_multinet(views, bounds).as_array()[0]
+            best = np.min(quad_objective(grid, views))
+            assert quad_objective(row, views) <= best + 1e-12 * max(1.0, best)
+
+    def test_zero_cost_ties_fill_in_index_order(self):
+        # A dead network that was sent load holds an infinite q_cum.
+        dead, fed = make_view(n_alive=0.0), make_view(n_alive=0.0, q_cum=np.inf)
+        m = swo_solve_multinet([make_view(), fed, dead, dead], (0.0, 0.6)).as_array()
+        assert np.allclose(m[0], [0.0, 0.6, 0.4, 0.0])
+
+    @pytest.mark.parametrize("flat", [{"pool": 0.0}, {"q_cum": 200.0}],
+                             ids=["no_pool", "saturated"])
+    def test_flat_objective_projects_sbd_row(self, flat):
+        views = [make_view(n_alive=a, **flat) for a in (1e5, 2e5, 7e5)]
+        m = swo_solve_multinet(views, (0.2, 0.5)).as_array()
+        assert np.allclose(m[0], [0.2, 0.3, 0.5])
+
+    def test_infeasible_bounds_rejected(self):
+        views = [make_view(), make_view(), make_view()]
+        with pytest.raises(StrategyError):
+            swo_solve_multinet(views, (0.4, 1.0))
+        with pytest.raises(StrategyError):
+            swo_solve_multinet(views, (0.0, 0.3))
+
+    def test_per_network_bounds_rejected_for_three_networks(self):
+        views = [make_view(), make_view(), make_view()]
+        strategy = SWO(bounds=((0.0, 1.0), (0.1, 0.9), (0.0, 1.0)))
+        with pytest.raises(StrategyError):
+            decide(strategy, views, 1)
+        assert decide(SWO(bounds=((0.1, 0.9),)), views, 1).matrix.n == 3
