@@ -30,9 +30,6 @@ from .search import (CriticalResult, GraphCache, HeatmapResult, SweepResult,
                      make_meanfield_runner, make_montecarlo_runner,
                      meanfield_sweep, sweep_to_csv)
 from .strategies import (FCC, SBD, SWO, CouplingDecision, CouplingStrategy,
-                         NetView, SwoCoefficients, decide, sbd_coefficients,
-                         swo_build_uniform, swo_model_objective,
-                         swo_objective_general, swo_solve_box,
-                         swo_solve_grid, swo_solve_multinet)
+                         NetView, decide, sbd_coefficients, swo_objective)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

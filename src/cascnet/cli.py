@@ -534,9 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override base seed")
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved for parallel batches; runs are "
-                            "deterministic regardless")
         p.add_argument("--resolution", type=float, default=None,
                        help="override coupling-grid resolution")
         p.add_argument("--tol", type=float, default=None,
@@ -567,8 +564,6 @@ def main(argv: list[str] | None = None) -> int:
             nets = list(cfg.networks)
             nets[i] = replace(nets[i], topology=EdgeListTopology(path))
             cfg = replace(cfg, networks=tuple(nets))
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)

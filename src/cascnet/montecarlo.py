@@ -159,6 +159,12 @@ def _barabasi_albert(node_count: int, mean_degree: float, rng: np.random.Generat
     return _edges_to_csr(node_count, us, vs)
 
 
+def graph_seed(seed: int, index: int) -> int:
+    """Seed of network `index`'s graph in the run seeded `seed`. `mc_run` and
+    `search.GraphCache` both use it, so one seed gives one graph."""
+    return seed * 7919 + index
+
+
 def generate_graph(topology: Topology, node_count: int, seed: int) -> Graph | None:
     """Deterministic adjacency for a topology; None means fully connected."""
     if isinstance(topology, Complete):
@@ -195,11 +201,10 @@ def read_edge_list(path: str, node_count: int) -> Graph:
 
 def sample_population(cfg: NetworkConfig, rng: np.random.Generator,
                       graph: Graph | None = None) -> NodePopulation:
+    """Fresh loads and free spaces on `graph` (None: fully connected)."""
     n = cfg.node_count
     load = dist_sample(cfg.load_dist, n, rng)
     space = dist_sample(cfg.space_dist, n, rng)
-    if graph is None and not isinstance(cfg.topology, Complete):
-        graph = generate_graph(cfg.topology, n, int(rng.integers(0, 2 ** 63 - 1)))
     return NodePopulation(load=load, space=space,
                           alive=np.ones(n, dtype=bool),
                           received=np.zeros(n), graph=graph)
@@ -390,7 +395,8 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
 
     Deterministic for a given seed. Pre-generated adjacency can be passed
     through `graphs` (one entry per network, None for fully connected) so
-    repeated runs skip regeneration. Stops when a step kills no nodes and
+    repeated runs skip regeneration; otherwise each network's graph is
+    generated from `graph_seed(seed, i)`. Stops when a step kills no nodes and
     leaves no outstanding pool, or when no node survives anywhere.
     """
     n = len(cfgs)
@@ -402,7 +408,8 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
         raise SimulationError("local redistribution requires equal node counts")
 
     if graphs is None:
-        graphs = [None] * n
+        graphs = [generate_graph(c.topology, c.node_count, graph_seed(seed, i))
+                  for i, c in enumerate(cfgs)]
     pops = [sample_population(cfg, rng, graph=g) for cfg, g in zip(cfgs, graphs)]
     dead0, pools = [], []
     for pop, p in zip(pops, attack.p):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import AttackSpec, Complete, CouplingMatrix, NetworkConfig
 from .meanfield import DEFAULT_MAX_STEPS as MF_MAX_STEPS, mf_run
-from .montecarlo import DEFAULT_MAX_STEPS as MC_MAX_STEPS, generate_graph, mc_run
+from .montecarlo import (DEFAULT_MAX_STEPS as MC_MAX_STEPS, generate_graph,
+                         graph_seed, mc_run)
 from .strategies import FCC, CouplingStrategy
 
 DEFAULT_TOL = 1e-3
@@ -117,7 +118,7 @@ class GraphCache:
             key = (i, seed)
             if key not in self._store:
                 self._store[key] = generate_graph(cfg.topology, cfg.node_count,
-                                                  seed * 7919 + i)
+                                                  graph_seed(seed, i))
             out.append(self._store[key])
         return out
 

@@ -18,8 +18,8 @@ from cascnet.montecarlo import (_edges_to_csr, apply_attack, mc_run,
 from cascnet.search import (GraphCache, attack_sweep, critical_attack_size,
                             fcc_grid_sweep, make_meanfield_runner,
                             make_montecarlo_runner)
-from cascnet.strategies import (FCC, SBD, SWO, decide, swo_build_uniform,
-                                swo_solve_box)
+from cascnet.strategies import (FCC, SBD, SWO, _model_pool, decide,
+                                swo_objective)
 
 N_SIM = 10 ** 5
 
@@ -182,7 +182,8 @@ def test_criterion_7_property_suite():
     """Model invariants that need no reference numbers."""
     rng = np.random.default_rng(1)
 
-    # (a) the quadratic objective's Hessian is PSD on random reachable states
+    # (a) the SWO objective is midpoint-convex in (alpha, beta) on random
+    # reachable states
     def rand_view():
         p = rng.uniform(0.0, 0.8)
         sf = rng.uniform(0.05, 1.0)
@@ -194,16 +195,26 @@ def test_criterion_7_property_suite():
                        node_count=1e6, load_mean=75.0,
                        space_dist=Uniform(lo, lo + width))
 
-    for _ in range(1000):
-        assert swo_build_uniform([rand_view(), rand_view()]).is_psd()
+    def objective(a, b, views):
+        return swo_objective(CouplingMatrix.two_net(a, b), views)
 
-    # (b) closed-form box solve agrees with a fine grid search
+    for _ in range(1000):
+        views = [rand_view(), rand_view()]
+        (a1, b1), (a2, b2) = rng.uniform(size=(2, 2))
+        f1, f2 = objective(a1, b1, views), objective(a2, b2, views)
+        mid = objective(0.5 * (a1 + a2), 0.5 * (b1 + b2), views)
+        assert mid <= 0.5 * (f1 + f2) + 1e-9 * max(1.0, abs(f1), abs(f2))
+
+    # (b) the SWO decision is no worse than a fine (alpha, beta) grid
     for _ in range(20):
-        coeffs = swo_build_uniform([rand_view(), rand_view()])
-        _, _, val = swo_solve_box(coeffs)
+        views = [rand_view(), rand_view()]
+        val = decide(SWO(), views, 1).objective_value
         g = np.linspace(0, 1, 101)
         aa, bb = np.meshgrid(g, g, indexing="ij")
-        assert val <= np.min(coeffs.value(aa, bb)) + 1e-9 * max(1.0, abs(val))
+        va, vb = views
+        grid = (_model_pool(va, aa * va.pool + (1 - bb) * vb.pool)
+                + _model_pool(vb, (1 - aa) * va.pool + bb * vb.pool))
+        assert val <= np.min(grid) + 1e-9 * max(1.0, abs(val))
 
     # (c) load conservation per simulation step (relative 1e-6)
     cfgs = identical_uniform_cfgs(2000)

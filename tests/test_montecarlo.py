@@ -10,6 +10,7 @@ from cascnet.montecarlo import (Graph, SimulationError, _edges_to_csr,
                                 _pair_from_index, apply_attack, generate_graph,
                                 mc_run, mc_step_complete, read_edge_list,
                                 sample_population, write_edge_list)
+from cascnet.search import GraphCache
 from cascnet.strategies import FCC, SBD
 
 
@@ -92,6 +93,16 @@ class TestDeterminism:
         a = mc_run(self.CFGS, AttackSpec((0.5, 0.0)), SBD(), seed=11)
         b = mc_run(self.CFGS, AttackSpec((0.5, 0.0)), SBD(), seed=12)
         assert a.final_fractions != b.final_fractions
+
+    def test_generated_graphs_match_graph_cache(self):
+        # mc_run builds its own graphs from the same seed rule as GraphCache
+        cfgs = [NetworkConfig(k, 2000, Point(75.0), Uniform(20, 180), ErdosRenyi(10.0))
+                for k in range(2)]
+        for seed in (0, 1):
+            own = mc_run(cfgs, AttackSpec((0.5, 0.0)), SBD(), seed=seed)
+            cached = mc_run(cfgs, AttackSpec((0.5, 0.0)), SBD(), seed=seed,
+                            graphs=GraphCache(cfgs).graphs(seed))
+            assert own == cached
 
 
 class TestLocalMatchesGlobal:

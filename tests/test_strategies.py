@@ -1,16 +1,14 @@
-"""Coupling strategies: SBD splitting, SWO quadratic solve, dispatch."""
+"""Coupling strategies: SBD splitting, the SWO model and solvers, dispatch."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascnet.core import CouplingMatrix
-from cascnet.distributions import ShiftedExponential, Uniform
+from cascnet.distributions import Point, ShiftedExponential, Uniform
 from cascnet.strategies import (FCC, SBD, SWO, NetView, StrategyError,
-                                decide, multinet_objective, sbd_coefficients,
-                                swo_build_uniform, swo_model_objective,
-                                swo_objective_general, swo_solve_box,
-                                swo_solve_grid, swo_solve_multinet)
+                                _model_pool, decide, sbd_coefficients,
+                                swo_objective)
 
 
 def make_view(n_alive=5e5, pool=1e7, q_cum=10.0, attack_frac=0.3,
@@ -32,6 +30,38 @@ def random_views(rng):
             n_alive=(1.0 - p) * sf * 1e6, pool=rng.uniform(0, 5e7),
             q_cum=q, attack_frac=p, space=Uniform(lo, lo + width)))
     return views
+
+
+def random_exponential_views(rng):
+    """Two shifted-exponential networks, survivors consistent with q_cum."""
+    views = []
+    for _ in range(2):
+        p = rng.uniform(0.0, 0.8)
+        space = ShiftedExponential(rng.uniform(0, 50), 1.0 / rng.uniform(30, 200))
+        q = space.shift + rng.uniform(0, 150)
+        views.append(make_view(
+            n_alive=(1.0 - p) * space.sf_geq(q) * 1e6, pool=rng.uniform(0, 5e7),
+            q_cum=q, attack_frac=p, space=space))
+    return views
+
+
+def solve(views, bounds=(0.0, 1.0)) -> CouplingMatrix:
+    """SWO's matrix under a single bounds pair."""
+    return decide(SWO(bounds=(bounds,)), views, 1).matrix
+
+
+def two_net_inbound(alpha, beta, views):
+    """(r_A, r_B) under in-net coefficients alpha, beta (arrays broadcast)."""
+    va, vb = views
+    return (alpha * va.pool + (1.0 - beta) * vb.pool,
+            (1.0 - alpha) * va.pool + beta * vb.pool)
+
+
+def grid_objective(views, alphas, betas):
+    """The model objective on every (alpha, beta) of a grid."""
+    aa, bb = np.meshgrid(alphas, betas, indexing="ij")
+    r_a, r_b = two_net_inbound(aa, bb, views)
+    return _model_pool(views[0], r_a) + _model_pool(views[1], r_b)
 
 
 class TestSbd:
@@ -74,62 +104,95 @@ class TestSwoQuadratic:
         rng = np.random.default_rng(7)
         for _ in range(30):
             views = random_views(rng)
-            coeffs = swo_build_uniform(views)
             for a, b in [(0, 0), (1, 1), (0.3, 0.8), (rng.uniform(), rng.uniform())]:
-                assert coeffs.value(a, b) == pytest.approx(
-                    swo_model_objective(a, b, views), rel=1e-9, abs=1e-6)
+                inbound = np.array(two_net_inbound(a, b, views))
+                assert swo_objective(CouplingMatrix.two_net(a, b), views) == pytest.approx(
+                    model_quadratic(inbound, views), rel=1e-9, abs=1e-6)
 
     def test_model_matches_exact_inside_support(self):
-        # windows fully inside the uniform support: the closed form, the
-        # model form, and the exact survival-function form all agree
-        views = [make_view(q_cum=40.0, pool=5e6, space=Uniform(20, 180)),
-                 make_view(q_cum=50.0, pool=4e6, space=Uniform(20, 180))]
-        for a, b in [(0.2, 0.9), (0.5, 0.5), (1.0, 0.0)]:
-            exact = swo_objective_general(a, b, views)
-            assert swo_model_objective(a, b, views) == pytest.approx(exact, rel=1e-9)
-            assert swo_build_uniform(views).value(a, b) == pytest.approx(exact, rel=1e-9)
+        # windows fully inside the support: the model and the exact
+        # survival-function form agree, for uniform and shifted-exponential
+        def exact(a, b, views):
+            total = 0.0
+            for v, r in zip(views, two_net_inbound(a, b, views)):
+                q_new = v.q_cum + r / v.n_alive
+                dead = (1.0 - v.attack_frac) * v.node_count * (
+                    v.space_dist.sf_geq(v.q_cum) - v.space_dist.sf_geq(q_new))
+                total += dead * (v.load_mean + q_new)
+            return total
+
+        uniform = [make_view(q_cum=40.0, pool=5e6, space=Uniform(20, 180)),
+                   make_view(q_cum=50.0, pool=4e6, space=Uniform(20, 180))]
+        space = ShiftedExponential(10.0, 0.02)
+        expo = [make_view(n_alive=0.7 * space.sf_geq(q) * 1e6, q_cum=q, pool=pool,
+                          space=space) for q, pool in ((40.0, 5e6), (90.0, 4e6))]
+        for views in (uniform, expo):
+            for a, b in [(0.2, 0.9), (0.5, 0.5), (1.0, 0.0)]:
+                assert swo_objective(CouplingMatrix.two_net(a, b), views) == pytest.approx(
+                    exact(a, b, views), rel=1e-9)
+
+    def test_model_charges_below_support(self):
+        # the exact law fails nobody while the window stays below the
+        # support; the model charges anyway, so no dump looks free
+        for space, q in ((Uniform(20, 180), 5.0), (ShiftedExponential(30.0, 0.02), 5.0)):
+            v = make_view(q_cum=q, space=space)
+            assert float(_model_pool(v, 1e6)) > 0.0
+            assert space.sf_geq(q) - space.sf_geq(q + 1e6 / v.n_alive) == 0.0
 
     def test_requires_uniform_spaces(self):
-        views = [make_view(space=ShiftedExponential(10.0, 0.05)), make_view()]
+        # three or more networks are solved for uniform free space only
+        views = [make_view(space=ShiftedExponential(10.0, 0.05)), make_view(), make_view()]
         with pytest.raises(StrategyError):
-            swo_build_uniform(views)
+            decide(SWO(), views, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_hessian_always_psd(self, seed):
-        coeffs = swo_build_uniform(random_views(np.random.default_rng(seed)))
-        assert coeffs.is_psd()
-        h = coeffs.hessian()
-        assert np.linalg.det(h) >= -1e-6 * max(abs(h).max(), 1.0) ** 2
+        # the model is quadratic in (alpha, beta), so second differences
+        # give its Hessian exactly
+        views = random_views(np.random.default_rng(seed))
+        f = lambda a, b: swo_objective(CouplingMatrix.two_net(a, b), views)
+        h = 0.25
+        f_aa = f(0.5 + h, 0.5) - 2 * f(0.5, 0.5) + f(0.5 - h, 0.5)
+        f_bb = f(0.5, 0.5 + h) - 2 * f(0.5, 0.5) + f(0.5, 0.5 - h)
+        f_ab = (f(0.5 + h, 0.5 + h) - f(0.5 + h, 0.5 - h)
+                - f(0.5 - h, 0.5 + h) + f(0.5 - h, 0.5 - h)) / 4
+        hess = np.array([[f_aa, f_ab], [f_ab, f_bb]]) / h ** 2
+        scale = max(abs(hess).max(), 1.0)
+        assert hess.trace() >= -1e-9 * scale
+        assert np.linalg.det(hess) >= -1e-9 * scale ** 2
 
 
 class TestSwoSolve:
     def test_box_solution_beats_fine_grid(self):
+        # the decision minimizes the model over the (alpha, beta) box
         rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 1.0, 101)
         for _ in range(20):
             views = random_views(rng)
-            coeffs = swo_build_uniform(views)
-            a, b, val = swo_solve_box(coeffs)
-            grid = np.linspace(0.0, 1.0, 101)
-            aa, bb = np.meshgrid(grid, grid, indexing="ij")
-            grid_best = float(np.min(coeffs.value(aa, bb)))
-            assert val <= grid_best + 1e-9 * max(abs(grid_best), 1.0)
-            assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+            dec = decide(SWO(), views, 1)
+            m = dec.matrix.as_array()
+            grid_best = float(np.min(grid_objective(views, grid, grid)))
+            assert dec.objective_value <= grid_best + 1e-9 * max(abs(grid_best), 1.0)
+            assert 0.0 <= m[0, 0] <= 1.0 and 0.0 <= m[1, 1] <= 1.0
 
     def test_box_respects_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            coeffs = swo_build_uniform(random_views(rng))
-            a, b, _ = swo_solve_box(coeffs, ((0.3, 0.6), (0.5, 0.5)))
+            m = decide(SWO(bounds=((0.3, 0.6), (0.5, 0.5))), random_views(rng), 1).matrix
+            a, b = m.entry(0, 0), m.entry(1, 1)
             assert 0.3 <= a <= 0.6
             assert b == 0.5
 
-    def test_grid_solver_agrees_with_box_on_quadratic(self):
-        views = [make_view(q_cum=40.0, pool=5e6), make_view(q_cum=50.0, pool=4e6)]
-        a_box, b_box, v_box = swo_solve_box(swo_build_uniform(views))
-        a_g, b_g, v_g = swo_solve_grid(views, 0.01, objective=swo_model_objective)
-        assert v_box <= v_g + 1e-6 * max(abs(v_g), 1.0)
-        assert abs(a_g - a_box) <= 0.011 and abs(b_g - b_box) <= 0.011
+    def test_non_uniform_decision_beats_fine_grid(self):
+        rng = np.random.default_rng(13)
+        grid = np.arange(0.0, 1.0 + 1e-9, 0.005)
+        cases = [random_exponential_views(rng) for _ in range(10)]
+        cases.append([random_exponential_views(rng)[0], random_views(rng)[1]])
+        for views in cases:
+            dec = decide(SWO(), views, 1)
+            best = float(np.min(grid_objective(views, grid, grid)))
+            assert dec.objective_value <= best + 1e-9 * max(abs(best), 1.0)
 
 
 class TestSwoDecision:
@@ -141,10 +204,10 @@ class TestSwoDecision:
             m = dec.matrix.as_array()
             assert m.shape == (2, 2)
             # the decision minimizes the decision-time model objective
-            best = swo_model_objective(m[0, 0], m[1, 1], views)
+            best = swo_objective(dec.matrix, views)
             for a in (0.0, 0.25, 0.5, 0.75, 1.0):
                 for b in (0.0, 0.5, 1.0):
-                    rival = swo_model_objective(a, b, views)
+                    rival = swo_objective(CouplingMatrix.two_net(a, b), views)
                     assert best <= rival + 1e-6 * max(abs(rival), 1.0)
 
     def test_bounds_respected(self):
@@ -164,6 +227,48 @@ class TestSwoDecision:
         sbd = decide(SBD(), views, 1).matrix.as_array()
         assert np.allclose((swo.T @ pools) / alive, (sbd.T @ pools) / alive)
 
+    def test_ties_take_the_smallest_alpha(self):
+        # identical networks: every matrix with r_A = P / 2 is optimal, and
+        # the tie rule picks alpha = 0 (then beta = 0)
+        views = [make_view(), make_view()]
+        m = decide(SWO(), views, 1).matrix.as_array()
+        assert m[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert m[1, 1] == pytest.approx(0.0, abs=1e-12)
+        # in general alpha is the smallest value in bounds that yields r_A
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            views = random_views(rng)
+            bounds = ((0.1, 0.8), (0.2, 0.9))
+            m = decide(SWO(bounds=bounds), views, 1).matrix.as_array()
+            r_a = m[0, 0] * views[0].pool + m[1, 0] * views[1].pool
+            smallest = max(0.1, (r_a - 0.8 * views[1].pool) / views[0].pool)
+            assert m[0, 0] == pytest.approx(smallest, abs=1e-9)
+
+    def test_point_free_space_two_networks(self):
+        # every survivor of A fails past an increment of 10, every survivor
+        # of B past 40; the decision keeps both windows shut when it can
+        views = [make_view(n_alive=2e5, pool=2.5e6, q_cum=0.0, space=Point(10.0)),
+                 make_view(n_alive=1e5, pool=2.5e6, q_cum=0.0, space=Point(40.0))]
+        dec = decide(SWO(), views, 1)
+        m = dec.matrix.as_array()
+        r_a = m[0, 0] * 2.5e6 + m[1, 0] * 2.5e6
+        assert r_a / 2e5 <= 10.0 and (5e6 - r_a) / 1e5 <= 40.0
+        # the search keeps the first minimum: the low end of the safe window
+        assert r_a == pytest.approx(1e6, rel=1e-3)
+        assert dec.objective_value == 0.0
+        grid = np.arange(0.0, 1.0 + 1e-9, 0.005)
+        assert dec.objective_value <= np.min(grid_objective(views, grid, grid))
+
+    def test_objective_value_is_swo_objective(self):
+        rng = np.random.default_rng(19)
+        cases = [random_views(rng), random_exponential_views(rng),
+                 random_multinet_views(rng, 3)]
+        for views in cases:
+            if all(v.n_alive <= 0 for v in views):
+                continue
+            dec = decide(SWO(), views, 1)
+            assert dec.objective_value == swo_objective(dec.matrix, views)
+
     def test_all_dead_yields_identity(self):
         views = [make_view(n_alive=0.0), make_view(n_alive=0.0)]
         dec = decide(SWO(), views, 5)
@@ -177,17 +282,22 @@ class TestSwoDecision:
 
 
 class TestMultinet:
-    def test_two_network_case_matches_dedicated_solver(self):
+    def test_two_network_case_matches_three_with_idle_third(self):
+        # a third network that is dead and has nothing to send leaves the
+        # problem unchanged, so both paths must route the same inbound loads
         rng = np.random.default_rng(42)
         for _ in range(2):
             views = random_views(rng)
-            full = swo_solve_multinet(views)
-            two = decide(SWO(), views, 1).matrix
-            assert multinet_objective(full, views) <= multinet_objective(two, views) * (1 + 1e-4)
+            idle = make_view(n_alive=0.0, pool=0.0)
+            pools = np.array([v.pool for v in views])
+            two = solve(views).as_array().T @ pools
+            three = solve(views + [idle]).as_array().T @ np.append(pools, 0.0)
+            assert three[2] == 0.0
+            assert np.allclose(two, three[:2], rtol=1e-9)
 
     def test_symmetric_three_network_solution(self):
         views = [make_view(), make_view(), make_view()]
-        m = swo_solve_multinet(views).as_array()
+        m = solve(views).as_array()
         assert np.allclose(m, m[0], atol=1e-6)  # all rows identical
         assert np.allclose(m[0], [1 / 3] * 3, atol=1e-6)
 
@@ -196,25 +306,29 @@ class TestMultinet:
         views = [make_view(n_alive=rng.uniform(1e5, 9e5),
                            pool=rng.uniform(1e6, 4e7),
                            q_cum=rng.uniform(20, 100)) for _ in range(4)]
-        m = swo_solve_multinet(views, bounds=(0.05, 0.9)).as_array()
+        m = solve(views, bounds=(0.05, 0.9)).as_array()
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-9)
         assert (m >= 0.05 - 1e-9).all() and (m <= 0.9 + 1e-9).all()
 
 
-def quad_objective(row, views):
-    """The solver's model: sum of c_k * u_k * (E[L_k] + q_k + u_k) over live
-    networks inside their support, for identical matrix rows `row` (or a
-    stack of candidate rows)."""
-    total_pool = sum(v.pool for v in views)
+def model_quadratic(inbound, views):
+    """The uniform model written out: sum of c_k * u_k * (E[L_k] + q_k + u_k)
+    over live networks inside their support, for inbound loads indexed by
+    network along the first axis."""
     value = 0.0
     for k, v in enumerate(views):
         sd = v.space_dist
         if v.n_alive <= 0 or v.q_cum >= sd.hi:
             continue
-        u = row[..., k] * total_pool / v.n_alive
+        u = inbound[k] / v.n_alive
         c = (1.0 - v.attack_frac) * v.node_count / (sd.hi - sd.lo)
         value += c * u * (v.load_mean + v.q_cum + u)
     return value
+
+
+def quad_objective(row, views):
+    """The model for identical matrix rows `row` (or a stack of rows)."""
+    return model_quadratic(np.moveaxis(row, -1, 0) * sum(v.pool for v in views), views)
 
 
 def random_multinet_views(rng, n):
@@ -249,7 +363,7 @@ class TestWaterFilling:
             views = random_multinet_views(rng, int(rng.integers(3, 6)))
             if all(v.n_alive <= 0 for v in views):
                 continue
-            m = swo_solve_multinet(views, bounds).as_array()
+            m = solve(views, bounds).as_array()
             assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
             assert m.min() >= lo and m.max() <= hi
             assert np.all(m == m[0])
@@ -272,29 +386,53 @@ class TestWaterFilling:
             views = random_multinet_views(rng, 3)
             if all(v.n_alive <= 0 for v in views):
                 continue
-            row = swo_solve_multinet(views, bounds).as_array()[0]
-            best = np.min(quad_objective(grid, views))
+            row = solve(views, bounds).as_array()[0]
+            # dead networks are pinned at lo whenever the others can take the rest
+            dead = np.array([v.n_alive <= 0 for v in views])
+            feasible = np.all(~dead | (grid <= lo + 1e-9), axis=1)
+            best = np.min(quad_objective(grid[feasible], views))
             assert quad_objective(row, views) <= best + 1e-12 * max(1.0, best)
 
     def test_zero_cost_ties_fill_in_index_order(self):
-        # A dead network that was sent load holds an infinite q_cum.
-        dead, fed = make_view(n_alive=0.0), make_view(n_alive=0.0, q_cum=np.inf)
-        m = swo_solve_multinet([make_view(), fed, dead, dead], (0.0, 0.6)).as_array()
+        # Survivors at the top of their support cannot fail: zero cost.
+        saturated = make_view(q_cum=180.0)
+        m = solve([make_view(), saturated, saturated, saturated], (0.0, 0.6)).as_array()
         assert np.allclose(m[0], [0.0, 0.6, 0.4, 0.0])
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.05, 0.9)])
+    def test_dead_network_pinned_at_lower_bound(self, bounds):
+        # The first decision of a three-network run whose network 0 is wholly
+        # attacked: load sent there would only be held and sent on next step.
+        attack = (1.0, 0.3, 0.3)
+        views = [make_view(n_alive=(1.0 - p) * 1e5, pool=p * 1e5 * 75.0, q_cum=0.0,
+                           attack_frac=p, node_count=1e5, space=space)
+                 for p, space in zip(attack, (Uniform(20, 180), Uniform(40, 280),
+                                              Uniform(30, 230)))]
+        m = solve(views, bounds).as_array()
+        assert np.all(m[:, 0] == bounds[0])
+        # two networks: r_A at its lower bound, lo_a * P_A + (1 - hi_b) * P_B
+        (lo, hi), (p_a, p_b) = bounds, (views[0].pool, views[1].pool)
+        m = solve(views[:2], bounds).as_array()
+        assert m[0, 0] * p_a + m[1, 0] * p_b == pytest.approx(lo * p_a + (1 - hi) * p_b)
+
+    def test_dead_networks_take_only_what_live_ones_cannot(self):
+        dead = make_view(n_alive=0.0, q_cum=np.inf)
+        m = solve([make_view(), dead, dead], (0.0, 0.6)).as_array()
+        assert np.allclose(m[0], [0.6, 0.4, 0.0])
 
     @pytest.mark.parametrize("flat", [{"pool": 0.0}, {"q_cum": 200.0}],
                              ids=["no_pool", "saturated"])
     def test_flat_objective_projects_sbd_row(self, flat):
         views = [make_view(n_alive=a, **flat) for a in (1e5, 2e5, 7e5)]
-        m = swo_solve_multinet(views, (0.2, 0.5)).as_array()
+        m = solve(views, (0.2, 0.5)).as_array()
         assert np.allclose(m[0], [0.2, 0.3, 0.5])
 
     def test_infeasible_bounds_rejected(self):
         views = [make_view(), make_view(), make_view()]
         with pytest.raises(StrategyError):
-            swo_solve_multinet(views, (0.4, 1.0))
+            solve(views, (0.4, 1.0))
         with pytest.raises(StrategyError):
-            swo_solve_multinet(views, (0.0, 0.3))
+            solve(views, (0.0, 0.3))
 
     def test_per_network_bounds_rejected_for_three_networks(self):
         views = [make_view(), make_view(), make_view()]
