@@ -393,6 +393,10 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str,
         },
         "outputs": outputs,
     }
+    paths = [n.topology.path for n in cfg.networks if isinstance(n.topology, EdgeListTopology)]
+    if paths:  # the config names edge lists by path only; pin their contents too
+        manifest["edge_list_sha256"] = {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 

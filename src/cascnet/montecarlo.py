@@ -6,11 +6,12 @@ Two redistribution modes:
   shared equally by all survivors of the receiving network. Survivors of a
   network always carry the same cumulative extra load, which keeps state
   per network down to one scalar.
-* local: load moves along edges. A dead node's in-net share splits equally
-  over its live neighbors (all live nodes of the network when it has none);
-  the out-net share goes to the identically indexed node in the other
-  network plus that node's live neighbors (all live nodes of the other
-  network when the whole group is dead).
+* local: load moves along edges. One rule places every share: a dead node's
+  share for network j splits equally over its live neighbors in j's graph,
+  plus, for an out-net share, the live node with the same index in j. A
+  share with no live receiver goes to all live nodes of j. A share for a
+  network with no survivors skips the neighbor lists and is re-routed over
+  the survivors of every network, as any share stranded there would be.
 
 Deaths are evaluated simultaneously after all shares of a step are placed,
 and a node fails when its received load strictly exceeds its free space.
@@ -27,7 +28,7 @@ from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                    EdgeListTopology, ErdosRenyi, NetworkConfig, Topology)
 from .distributions import dist_mean, dist_sample
 from .meanfield import MeanFieldState, _routed_inbound
-from .strategies import CouplingStrategy, NetView, decide
+from .strategies import SWO, CouplingStrategy, NetView, decide
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -63,10 +64,6 @@ class NodePopulation:
     graph: Graph | None = None  # None: fully connected
 
     @property
-    def capacity(self) -> np.ndarray:
-        return self.load + self.space
-
-    @property
     def alive_count(self) -> int:
         return int(np.count_nonzero(self.alive))
 
@@ -90,8 +87,7 @@ def _edges_to_csr(node_count: int, u: np.ndarray, v: np.ndarray) -> Graph:
     order = np.argsort(src, kind="stable")
     src, dst = src[order], dst[order]
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
     return Graph(indptr, dst.astype(np.int64))
 
 
@@ -189,9 +185,17 @@ def write_edge_list(graph: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str, node_count: int) -> Graph:
+    """Read "u v" lines (blank lines and # comments skipped). Every node id
+    must lie in [0, node_count)."""
     data = np.loadtxt(path, dtype=np.int64, ndmin=2)
     if data.size == 0:
-        return _edges_to_csr(node_count, np.empty(0, np.int64), np.empty(0, np.int64))
+        data = np.empty((0, 2), np.int64)
+    bad = (data.shape[1] != 2) | ((data < 0) | (data >= node_count)).any(axis=1)
+    if bad.any():
+        with open(path) as fh:
+            lines = [k for k, text in enumerate(fh, 1) if text.split("#", 1)[0].strip()]
+        raise SimulationError(f"{path}, line {lines[int(np.argmax(bad))]}: expected "
+                              f"two node ids in [0, {node_count})")
     return _edges_to_csr(node_count, data[:, 0], data[:, 1])
 
 
@@ -260,17 +264,32 @@ def mc_step_complete(pops: list[NodePopulation], pools: list[float],
 # Local (topology-driven) stepping
 # ---------------------------------------------------------------------------
 
-def _flat_neighbors(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated neighbor lists for `nodes`, plus the owner index of each."""
-    starts = graph.indptr[nodes]
-    lens = graph.indptr[nodes + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    owner = np.repeat(np.arange(nodes.size), lens)
-    cum = np.cumsum(lens) - lens
-    pos = np.arange(total) - cum[owner] + starts[owner]
-    return graph.indices[pos], owner
+def _spread(graph: Graph, alive: np.ndarray, dead: np.ndarray, shares: np.ndarray,
+            paired: np.ndarray | None = None) -> tuple[list, np.ndarray]:
+    """Split each dead node's share equally over its live neighbors in `graph`,
+    and over its live paired node when `paired` (that node's alive flag per
+    dead node) is given. Returns the receipts, (nodes, amounts) pairs in
+    placement order with zero amounts on dead nodes, and the mask of shares
+    that found a live receiver."""
+    starts = graph.indptr[dead]
+    lens = graph.indptr[dead + 1] - starts
+    offsets = np.cumsum(lens) - lens
+    pos = np.repeat(starts - offsets, lens)
+    pos += np.arange(pos.size)
+    nbrs = graph.indices[pos]
+    live = alive[nbrs]
+    counts = np.zeros(dead.size, np.int64)
+    counts[lens > 0] = np.add.reduceat(live, offsets[lens > 0], dtype=np.int64)
+    if paired is not None:
+        counts += paired
+    placeable = counts > 0
+    per = np.zeros(dead.size)
+    np.divide(shares, counts, out=per, where=placeable)
+    amounts = np.repeat(per, lens)
+    amounts *= live
+    if paired is None:
+        return [(nbrs, amounts)], placeable
+    return [(nbrs, amounts), (dead, per * paired)], placeable
 
 
 def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
@@ -279,8 +298,9 @@ def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
     died in the previous step (their loads are being redistributed now).
     Returns (next newly-dead index arrays, their carried-load totals)."""
     n = len(pops)
-    bufs = [np.zeros(p.load.size) for p in pops]
-    loose = [0.0] * n  # shares falling back to network-wide redistribution
+    live_counts = [p.alive_count for p in pops]
+    parts: list[list] = [[] for _ in pops]  # receipts per receiving network
+    loose = [0.0] * n  # shares with no live receiver: network-wide fallback
 
     for i in range(n):
         dead = newly_dead[i]
@@ -293,59 +313,32 @@ def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
                 continue
             shares = carried * frac
             pop_j = pops[j]
-            if i == j:
-                if pop_j.graph is None:
-                    loose[j] += float(shares.sum())
-                    continue
-                nbrs, owner = _flat_neighbors(pop_j.graph, dead)
-                live = pop_j.alive[nbrs]
-                counts = np.bincount(owner[live], minlength=dead.size)
-                placeable = counts > 0
-                per = np.zeros(dead.size)
-                per[placeable] = shares[placeable] / counts[placeable]
-                np.add.at(bufs[j], nbrs[live], per[owner[live]])
-                loose[j] += float(shares[~placeable].sum())
-            else:
-                # Paired node (same index) plus its live neighbors.
-                if pop_j.graph is None:
-                    loose[j] += float(shares.sum())
-                    continue
-                paired_alive = pop_j.alive[dead]
-                nbrs, owner = _flat_neighbors(pop_j.graph, dead)
-                live = pop_j.alive[nbrs]
-                counts = np.bincount(owner[live], minlength=dead.size).astype(float)
-                counts += paired_alive
-                placeable = counts > 0
-                per = np.zeros(dead.size)
-                per[placeable] = shares[placeable] / counts[placeable]
-                np.add.at(bufs[j], nbrs[live], per[owner[live]])
-                sel = paired_alive & placeable
-                np.add.at(bufs[j], dead[sel], per[sel])
-                loose[j] += float(shares[~placeable].sum())
+            if pop_j.graph is None or live_counts[j] == 0:
+                loose[j] += float(shares.sum())
+                continue
+            # Out-net shares also reach the paired node (same index).
+            receipts, placeable = _spread(pop_j.graph, pop_j.alive, dead, shares,
+                                          None if i == j else pop_j.alive[dead])
+            parts[j] += receipts
+            loose[j] += float(shares[~placeable].sum())
 
-    # Network-wide fallbacks; re-rope to the other side when a network is empty.
-    live_counts = [p.alive_count for p in pops]
-    stranded = 0.0
-    for k in range(n):
-        if loose[k] == 0.0:
-            continue
-        if live_counts[k] > 0:
-            bufs[k][pops[k].alive] += loose[k] / live_counts[k]
-        else:
-            stranded += loose[k]
-    if stranded > 0.0:
-        total_live = sum(live_counts)
-        if total_live == 0:
-            pass  # breakdown; load has nowhere to go
-        else:
-            for k in range(n):
-                if live_counts[k] > 0:
-                    bufs[k][pops[k].alive] += stranded / total_live
-
+    # Shares for a network without survivors go to the survivors of all.
+    stranded = sum(x for x, c in zip(loose, live_counts) if c == 0)
     next_dead: list[np.ndarray] = []
     next_pools: list[float] = []
     for k, pop in enumerate(pops):
-        pop.received += bufs[k]
+        # One bincount over the receipts in placement order, so every node
+        # adds up what it receives in one fixed sequence.
+        part = parts[k]
+        if len(part) > 1:
+            part = [tuple(map(np.concatenate, zip(*part)))]
+        buf = np.bincount(*part[0], minlength=pop.load.size) if part else np.zeros(pop.load.size)
+        if live_counts[k] > 0:
+            if loose[k] != 0.0:
+                buf[pop.alive] += loose[k] / live_counts[k]
+            if stranded > 0.0:
+                buf[pop.alive] += stranded / sum(live_counts)
+        pop.received += buf
         newly = pop.alive & (pop.received > pop.space)
         idx = np.nonzero(newly)[0]
         pop.alive[idx] = False
@@ -359,11 +352,13 @@ def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
 # ---------------------------------------------------------------------------
 
 def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
-                     pops: list[NodePopulation], pools: list[float]) -> list[NetView]:
+                     pops: list[NodePopulation], pools: list[float],
+                     with_q_cum: bool) -> list[NetView]:
+    """Views for `decide`; q_cum (an N-wide mean, read by SWO only) is 0 unless asked."""
     views = []
     for i, (cfg, pop) in enumerate(zip(cfgs, pops)):
         count = pop.alive_count
-        q_cum = float(pop.received[pop.alive].mean()) if count else 0.0
+        q_cum = float(pop.received[pop.alive].mean()) if count and with_q_cum else 0.0
         views.append(NetView(
             n_alive=float(count), pool=pools[i], q_cum=q_cum, q_step=0.0,
             frac_failed=1.0 - count / cfg.node_count, attack_frac=attack.p[i],
@@ -428,7 +423,8 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
             return SimOutcome(tuple(0.0 for _ in cfgs), t, True, trajectory=trajectory)
         if all(pool <= 0.0 for pool in pools):
             break
-        decision = decide(strategy, _empirical_views(cfgs, attack, pops, pools), t)
+        views = _empirical_views(cfgs, attack, pops, pools, isinstance(strategy, SWO))
+        decision = decide(strategy, views, t)
         if local_mode:
             newly_dead, pools = mc_step_local(pops, newly_dead, decision.matrix)
         else:

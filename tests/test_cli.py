@@ -185,6 +185,32 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def _edge_list_run(self, tmp_path, edges, out="out"):
+        path = tmp_path / "edges.txt"
+        path.write_text(edges)
+        cfg = (BASE.replace("engine = meanfield", "engine = montecarlo")
+               .replace("1000000", "4")
+               .replace("topology = complete", f"topology = edges({path})"))
+        return main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                     "--out-dir", str(tmp_path / out)])
+
+    @pytest.mark.parametrize("line", ["-1 2", "1 5"])
+    def test_out_of_range_edge_list_id_returns_2(self, tmp_path, capsys, line):
+        assert self._edge_list_run(tmp_path, f"0 1\n{line}\n") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "edges.txt, line 2" in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_manifest_pins_edge_list_contents(self, tmp_path):
+        # Same config text, same file name, different edges.
+        assert self._edge_list_run(tmp_path, "0 1\n2 3\n", out="a") == 0
+        assert self._edge_list_run(tmp_path, "0 2\n1 3\n", out="b") == 0
+        a = json.load(open(tmp_path / "a" / "manifest.json"))
+        b = json.load(open(tmp_path / "b" / "manifest.json"))
+        assert a["config_sha256"] == b["config_sha256"]
+        assert a["edge_list_sha256"] != b["edge_list_sha256"]
+        assert set(a["edge_list_sha256"]) == {str(tmp_path / "edges.txt")}
+
 
 @pytest.mark.parametrize("command,engine,extra", [
     ("critical", "meanfield", ""),

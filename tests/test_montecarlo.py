@@ -1,15 +1,18 @@
 """Node-level simulation: hand-traced cascades, conservation, graphs."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from cascnet.core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                           EdgeListTopology, ErdosRenyi, NetworkConfig)
 from cascnet.distributions import Point, Uniform
-from cascnet.montecarlo import (Graph, SimulationError, _edges_to_csr,
-                                _pair_from_index, apply_attack, generate_graph,
-                                mc_run, mc_step_complete, read_edge_list,
-                                sample_population, write_edge_list)
+from cascnet.montecarlo import (Graph, NodePopulation, SimulationError,
+                                _edges_to_csr, _pair_from_index, apply_attack,
+                                generate_graph, mc_run, mc_step_complete,
+                                mc_step_local, read_edge_list, sample_population,
+                                write_edge_list)
 from cascnet.search import GraphCache
 from cascnet.strategies import FCC, SBD
 
@@ -51,13 +54,19 @@ class TestHandTraced:
 
 
 class TestLoadConservation:
+    """Load held by survivors plus outstanding pools stays constant until no
+    node survives anywhere; local mode steps along each network's graph."""
+
     def _check(self, cfgs, attack, coupling, seed, steps=200):
         rng = np.random.default_rng(seed)
-        pops = [sample_population(c, rng) for c in cfgs]
+        pops = [sample_population(c, rng, generate_graph(c.topology, c.node_count, seed + k))
+                for k, c in enumerate(cfgs)]
+        local = any(p.graph is not None for p in pops)
         total = sum(float(p.load.sum()) for p in pops)
-        pools = []
+        newly_dead, pools = [], []
         for pop, p in zip(pops, attack.p):
-            _, pool = apply_attack(pop, p, rng)
+            victims, pool = apply_attack(pop, p, rng)
+            newly_dead.append(np.sort(victims))
             pools.append(pool)
         for _ in range(steps):
             held = sum(float(pop.load[pop.alive].sum())
@@ -65,8 +74,12 @@ class TestLoadConservation:
                        for pop in pops) + sum(pools)
             assert held == pytest.approx(total, rel=1e-9)
             if all(pl <= 0 for pl in pools) or all(p.alive_count == 0 for p in pops):
-                break
-            pools = mc_step_complete(pops, pools, coupling)
+                return pops
+            if local:
+                newly_dead, pools = mc_step_local(pops, newly_dead, coupling)
+            else:
+                pools = mc_step_complete(pops, pools, coupling)
+        raise AssertionError("cascade did not settle")
 
     def test_conserved_through_partial_cascade(self):
         cfgs = [NetworkConfig(0, 2000, Point(75.0), Uniform(20, 180)),
@@ -77,6 +90,201 @@ class TestLoadConservation:
         cfgs = [NetworkConfig(0, 1000, Point(75.0), Uniform(20, 180)),
                 NetworkConfig(1, 1000, Point(75.0), Uniform(20, 180))]
         self._check(cfgs, AttackSpec((0.75, 0.2)), CouplingMatrix.two_net(0.5, 0.5), 7)
+
+    def test_local_conserved_through_partial_cascade(self):
+        cfgs = [NetworkConfig(0, 2000, Point(75.0), Uniform(20, 180), ErdosRenyi(10.0)),
+                NetworkConfig(1, 2000, Point(75.0), Uniform(20, 180), ErdosRenyi(20.0))]
+        pops = self._check(cfgs, AttackSpec((0.4, 0.0)), CouplingMatrix.two_net(0.6, 0.6), 3)
+        assert all(p.alive_count > 0 for p in pops)
+        assert any(p.alive_count < p.alive.size * 0.6 for p in pops)
+
+    def test_local_conserved_through_breakdown(self):
+        cfgs = [NetworkConfig(0, 1000, Point(75.0), Uniform(20, 180), BarabasiAlbert(6.0)),
+                NetworkConfig(1, 1000, Point(75.0), Uniform(20, 180), ErdosRenyi(8.0))]
+        pops = self._check(cfgs, AttackSpec((0.75, 0.2)), CouplingMatrix.two_net(0.5, 0.5), 7)
+        assert all(p.alive_count == 0 for p in pops)
+
+
+# Reference local step: the per-pair expansion with np.add.at scatters that
+# mc_step_local replaced. The fast step must reproduce it bit for bit.
+def _reference_flat_neighbors(graph, nodes):
+    starts = graph.indptr[nodes]
+    lens = graph.indptr[nodes + 1] - starts
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    owner = np.repeat(np.arange(nodes.size), lens)
+    cum = np.cumsum(lens) - lens
+    pos = np.arange(total) - cum[owner] + starts[owner]
+    return graph.indices[pos], owner
+
+
+def reference_step_local(pops, newly_dead, coupling):
+    n = len(pops)
+    bufs = [np.zeros(p.load.size) for p in pops]
+    loose = [0.0] * n  # shares falling back to network-wide redistribution
+
+    for i in range(n):
+        dead = newly_dead[i]
+        if dead.size == 0:
+            continue
+        carried = pops[i].load[dead] + pops[i].received[dead]
+        for j in range(n):
+            frac = coupling.entry(i, j)
+            if frac == 0.0:
+                continue
+            shares = carried * frac
+            pop_j = pops[j]
+            if i == j:
+                if pop_j.graph is None:
+                    loose[j] += float(shares.sum())
+                    continue
+                nbrs, owner = _reference_flat_neighbors(pop_j.graph, dead)
+                live = pop_j.alive[nbrs]
+                counts = np.bincount(owner[live], minlength=dead.size)
+                placeable = counts > 0
+                per = np.zeros(dead.size)
+                per[placeable] = shares[placeable] / counts[placeable]
+                np.add.at(bufs[j], nbrs[live], per[owner[live]])
+                loose[j] += float(shares[~placeable].sum())
+            else:
+                # Paired node (same index) plus its live neighbors.
+                if pop_j.graph is None:
+                    loose[j] += float(shares.sum())
+                    continue
+                paired_alive = pop_j.alive[dead]
+                nbrs, owner = _reference_flat_neighbors(pop_j.graph, dead)
+                live = pop_j.alive[nbrs]
+                counts = np.bincount(owner[live], minlength=dead.size).astype(float)
+                counts += paired_alive
+                placeable = counts > 0
+                per = np.zeros(dead.size)
+                per[placeable] = shares[placeable] / counts[placeable]
+                np.add.at(bufs[j], nbrs[live], per[owner[live]])
+                sel = paired_alive & placeable
+                np.add.at(bufs[j], dead[sel], per[sel])
+                loose[j] += float(shares[~placeable].sum())
+
+    # Network-wide fallbacks; re-rope to the other side when a network is empty.
+    live_counts = [p.alive_count for p in pops]
+    stranded = 0.0
+    for k in range(n):
+        if loose[k] == 0.0:
+            continue
+        if live_counts[k] > 0:
+            bufs[k][pops[k].alive] += loose[k] / live_counts[k]
+        else:
+            stranded += loose[k]
+    if stranded > 0.0:
+        total_live = sum(live_counts)
+        if total_live == 0:
+            pass  # breakdown; load has nowhere to go
+        else:
+            for k in range(n):
+                if live_counts[k] > 0:
+                    bufs[k][pops[k].alive] += stranded / total_live
+
+    next_dead: list[np.ndarray] = []
+    next_pools: list[float] = []
+    for k, pop in enumerate(pops):
+        pop.received += bufs[k]
+        newly = pop.alive & (pop.received > pop.space)
+        idx = np.nonzero(newly)[0]
+        pop.alive[idx] = False
+        next_dead.append(idx)
+        next_pools.append(float((pop.load[idx] + pop.received[idx]).sum()))
+    return next_dead, next_pools
+
+
+def isolate(graph: Graph, nodes) -> Graph:
+    """`graph` without any edge touching `nodes`."""
+    u = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    v = graph.indices
+    keep = (u < v) & ~np.isin(u, nodes) & ~np.isin(v, nodes)
+    return _edges_to_csr(graph.node_count, u[keep], v[keep])
+
+
+class TestLocalStepOracle:
+    N = 120
+
+    def _state(self, rng, graphs, dead_frac, empty=()):
+        pops, newly_dead = [], []
+        for k, g in enumerate(graphs):
+            alive = rng.random(self.N) >= dead_frac
+            if k in empty:
+                alive[:] = False
+            pops.append(NodePopulation(load=rng.uniform(10, 100, self.N),
+                                       space=rng.uniform(20, 180, self.N), alive=alive,
+                                       received=rng.uniform(0, 40, self.N), graph=g))
+            dead = np.flatnonzero(~alive)
+            newly_dead.append(np.sort(rng.choice(dead, rng.integers(0, dead.size + 1),
+                                                 replace=False)))
+        # A node of network 0 that dies with all of its neighbors.
+        g0 = graphs[0]
+        if g0 is not None:
+            v = int(np.argmax(np.diff(g0.indptr)))
+            pops[0].alive[g0.neighbors(v)] = False
+            pops[0].alive[v] = False
+            newly_dead[0] = np.union1d(newly_dead[0], np.append(g0.neighbors(v), v))
+        return pops, newly_dead
+
+    @staticmethod
+    def _coupling(rng, n):
+        m = rng.dirichlet(np.ones(n), size=n)
+        m[rng.random((n, n)) < 0.3] = 0.0
+        m[np.arange(n), rng.integers(0, n, n)] += 1e-3  # no all-zero row
+        return CouplingMatrix.from_array(m / m.sum(axis=1, keepdims=True))
+
+    def _compare(self, graphs, dead_frac, empty=(), coupling=None):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            pops, newly_dead = self._state(rng, graphs, dead_frac, empty)
+            matrix = self._coupling(rng, len(graphs)) if coupling is None else coupling
+            ref_pops = copy.deepcopy(pops)
+            ref_dead = [d.copy() for d in newly_dead]
+            for _ in range(50):
+                newly_dead, pools = mc_step_local(pops, newly_dead, matrix)
+                ref_dead, ref_pools = reference_step_local(ref_pops, ref_dead, matrix)
+                assert pools == ref_pools
+                for got, want, p, q in zip(newly_dead, ref_dead, pops, ref_pops):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(p.received, q.received)
+                    assert np.array_equal(p.alive, q.alive)
+                if all(d.size == 0 for d in newly_dead):
+                    break
+
+    def test_er_and_ba_with_isolated_nodes(self):
+        er = generate_graph(ErdosRenyi(1.5), self.N, seed=4)
+        assert np.any(np.diff(er.indptr) == 0)
+        ba = isolate(generate_graph(BarabasiAlbert(4.0), self.N, seed=5), [3, 50, 51, 90])
+        self._compare([er, ba], 0.3)
+        self._compare([ba, er], 0.3)
+
+    def test_mostly_dead_neighborhoods(self):
+        g = generate_graph(ErdosRenyi(4.0), self.N, seed=6)
+        self._compare([g, g], 0.8)
+
+    def test_target_network_without_survivors(self):
+        a = generate_graph(ErdosRenyi(6.0), self.N, seed=7)
+        b = generate_graph(BarabasiAlbert(6.0), self.N, seed=8)
+        self._compare([a, b], 0.4, empty=(1,))
+        self._compare([a, b], 0.4, empty=(0,))
+
+    def test_complete_network_beside_graph(self):
+        g = generate_graph(ErdosRenyi(6.0), self.N, seed=9)
+        self._compare([None, g], 0.4)
+        self._compare([g, None], 0.4)
+
+    def test_three_networks(self):
+        gs = [generate_graph(ErdosRenyi(d), self.N, seed=10 + int(d)) for d in (3.0, 6.0, 9.0)]
+        self._compare(gs, 0.4)
+        self._compare([gs[0], None, gs[2]], 0.5, empty=(2,))
+
+    def test_fcc_matrices_with_zero_entries(self):
+        g = generate_graph(ErdosRenyi(6.0), self.N, seed=11)
+        h = generate_graph(BarabasiAlbert(6.0), self.N, seed=12)
+        for alpha, beta in ((1.0, 1.0), (0.0, 0.0), (1.0, 0.3), (0.4, 1.0)):
+            self._compare([g, h], 0.4, coupling=CouplingMatrix.two_net(alpha, beta))
 
 
 class TestDeterminism:
@@ -153,6 +361,13 @@ class TestGraphs:
         assert g2.edge_count == g.edge_count
         for v in range(200):
             assert sorted(g2.neighbors(v).tolist()) == sorted(g.neighbors(v).tolist())
+
+    @pytest.mark.parametrize("line", ["-1 2", "1 5"])
+    def test_edge_list_rejects_out_of_range_ids(self, tmp_path, line):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1\n# comment\n\n{line}\n2 3\n")
+        with pytest.raises(SimulationError, match=r"edges\.txt, line 4"):
+            read_edge_list(str(path), 4)
 
     @pytest.mark.parametrize("n,degree", [(30, 25.0), (60, 20.0), (200, 6.0)])
     def test_erdos_renyi_matches_unique_construction(self, n, degree):
