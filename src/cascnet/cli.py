@@ -424,16 +424,18 @@ def cmd_meanfield(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     attack = _attack_vector(cfg)
     cache = GraphCache(list(cfg.networks))
+    rows = []  # written only once every run has succeeded
+    for s in cfg.seeds:
+        out = mc_run(list(cfg.networks), attack, cfg.strategy(), seed=s,
+                     max_steps=cfg.max_steps, graphs=cache.graphs(s))
+        rows.append([s, out.steps, int(out.breakdown)]
+                    + [repr(f) for f in out.final_fractions])
     path = out_dir / "runs.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["seed", "steps", "breakdown"]
                    + [f"fraction_{i}" for i in range(len(cfg.networks))])
-        for s in cfg.seeds:
-            out = mc_run(list(cfg.networks), attack, cfg.strategy(), seed=s,
-                         max_steps=cfg.max_steps, graphs=cache.graphs(s))
-            w.writerow([s, out.steps, int(out.breakdown)]
-                       + [repr(f) for f in out.final_fractions])
+        w.writerows(rows)
     _write_manifest(out_dir, cfg, "simulate", ["runs.csv"])
     print(f"wrote {path}")
     return 0

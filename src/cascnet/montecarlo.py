@@ -4,8 +4,8 @@ Two redistribution modes:
 
 * complete: every network is fully connected, so a step's inbound load is
   shared equally by all survivors of the receiving network. Survivors of a
-  network always carry the same cumulative extra load, which keeps state
-  per network down to one scalar.
+  network always carry the same cumulative extra load, so a step keeps one
+  shared load per network's survivors; dead nodes' `received` is not kept.
 * local: load moves along edges. One rule places every share: a dead node's
   share for network j splits equally over its live neighbors in j's graph,
   plus, for an out-net share, the live node with the same index in j. A
@@ -235,7 +235,12 @@ def apply_attack(pop: NodePopulation, p: float, rng: np.random.Generator,
 def mc_step_complete(pops: list[NodePopulation], pools: list[float],
                      coupling: CouplingMatrix) -> list[float]:
     """One synchronous redistribution step; mutates populations in place and
-    returns the next-step pools."""
+    returns the next-step pools.
+
+    Every survivor of a network carries the same cumulative load, read from
+    its first survivor and written to the whole `received` array: a dead
+    node's entry is not kept. Nothing reads it in complete mode, since
+    `mc_run` steps with `mc_step_local` whenever any network has a graph."""
     live = [p.alive_count > 0 for p in pops]
     for i, pool in enumerate(pools):
         if pool < 0:
@@ -248,15 +253,11 @@ def mc_step_complete(pops: list[NodePopulation], pools: list[float],
             continue
         if recv[k] == 0.0:
             continue
-        count = pop.alive_count
-        q_prev = pop.received[pop.alive][0] if count else 0.0
-        inc = recv[k] / count
-        q_new = q_prev + inc
-        newly = pop.alive & (pop.space < q_new)
-        pop.received[pop.alive] = q_new
-        pop.alive &= ~newly
-        n_dead = int(np.count_nonzero(newly))
-        next_pools[k] = float(pop.load[newly].sum()) + n_dead * q_new
+        q_new = pop.received[pop.alive.argmax()] + recv[k] / pop.alive_count
+        newly = np.flatnonzero(pop.alive & (pop.space < q_new))
+        pop.alive[newly] = False
+        pop.received.fill(q_new)
+        next_pools[k] = float(pop.load[newly].sum()) + newly.size * q_new
     return next_pools
 
 
@@ -335,9 +336,9 @@ def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
         buf = np.bincount(*part[0], minlength=pop.load.size) if part else np.zeros(pop.load.size)
         if live_counts[k] > 0:
             if loose[k] != 0.0:
-                buf[pop.alive] += loose[k] / live_counts[k]
+                np.add(buf, loose[k] / live_counts[k], out=buf, where=pop.alive)
             if stranded > 0.0:
-                buf[pop.alive] += stranded / sum(live_counts)
+                np.add(buf, stranded / sum(live_counts), out=buf, where=pop.alive)
         pop.received += buf
         newly = pop.alive & (pop.received > pop.space)
         idx = np.nonzero(newly)[0]
@@ -358,7 +359,7 @@ def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
     views = []
     for i, (cfg, pop) in enumerate(zip(cfgs, pops)):
         count = pop.alive_count
-        q_cum = float(pop.received[pop.alive].mean()) if count and with_q_cum else 0.0
+        q_cum = float(pop.received.compress(pop.alive).mean()) if count and with_q_cum else 0.0
         views.append(NetView(
             n_alive=float(count), pool=pools[i], q_cum=q_cum, q_step=0.0,
             frac_failed=1.0 - count / cfg.node_count, attack_frac=attack.p[i],
@@ -374,7 +375,7 @@ def _record(traj: list[MeanFieldState], t: int, cfgs, pops, pools) -> None:
         count = pop.alive_count
         f.append(1.0 - count / cfg.node_count)
         n_alive.append(float(count))
-        q_cum.append(float(pop.received[pop.alive].mean()) if count else 0.0)
+        q_cum.append(float(pop.received.compress(pop.alive).mean()) if count else 0.0)
     prev_q = traj[-1].q_cum if traj else (0.0,) * len(cfgs)
     traj.append(MeanFieldState(t, tuple(f), tuple(n_alive), tuple(pools),
                                tuple(q - pq for q, pq in zip(q_cum, prev_q)),

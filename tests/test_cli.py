@@ -200,6 +200,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err and "edges.txt, line 2" in err
         assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out" / "runs.csv").exists()
 
     def test_manifest_pins_edge_list_contents(self, tmp_path):
         # Same config text, same file name, different edges.

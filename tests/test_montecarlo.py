@@ -7,14 +7,15 @@ import pytest
 
 from cascnet.core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                           EdgeListTopology, ErdosRenyi, NetworkConfig)
-from cascnet.distributions import Point, Uniform
+from cascnet.distributions import Point, ShiftedExponential, Uniform
+from cascnet.meanfield import _routed_inbound
 from cascnet.montecarlo import (Graph, NodePopulation, SimulationError,
-                                _edges_to_csr, _pair_from_index, apply_attack,
-                                generate_graph, mc_run, mc_step_complete,
-                                mc_step_local, read_edge_list, sample_population,
-                                write_edge_list)
+                                _edges_to_csr, _empirical_views, _pair_from_index,
+                                _record, apply_attack, generate_graph, mc_run,
+                                mc_step_complete, mc_step_local, read_edge_list,
+                                sample_population, write_edge_list)
 from cascnet.search import GraphCache
-from cascnet.strategies import FCC, SBD
+from cascnet.strategies import FCC, SBD, SWO, decide
 
 
 def complete_graph(n: int) -> Graph:
@@ -285,6 +286,145 @@ class TestLocalStepOracle:
         h = generate_graph(BarabasiAlbert(6.0), self.N, seed=12)
         for alpha, beta in ((1.0, 1.0), (0.0, 0.0), (1.0, 0.3), (0.4, 1.0)):
             self._compare([g, h], 0.4, coupling=CouplingMatrix.two_net(alpha, beta))
+
+
+# Reference complete step: the boolean-mask step that mc_step_complete
+# replaced. The fast step must reproduce it bit for bit.
+def reference_step_complete(pops, pools, coupling):
+    live = [p.alive_count > 0 for p in pops]
+    for i, pool in enumerate(pools):
+        if pool < 0:
+            raise SimulationError(f"negative pool for network {i}")
+    recv = _routed_inbound(pools, coupling, live)
+    next_pools = [0.0] * len(pops)
+    for k, pop in enumerate(pops):
+        if not live[k]:
+            next_pools[k] = recv[k]  # passes through next step
+            continue
+        if recv[k] == 0.0:
+            continue
+        count = pop.alive_count
+        q_prev = pop.received[pop.alive][0] if count else 0.0
+        inc = recv[k] / count
+        q_new = q_prev + inc
+        newly = pop.alive & (pop.space < q_new)
+        pop.received[pop.alive] = q_new
+        pop.alive &= ~newly
+        n_dead = int(np.count_nonzero(newly))
+        next_pools[k] = float(pop.load[newly].sum()) + n_dead * q_new
+    return next_pools
+
+
+class TestCompleteStepOracle:
+    """Cascades from random complete-graph states: survivors of a network
+    share one cumulative load, dead nodes hold arbitrary stale values."""
+
+    N = 400
+    # Point, Uniform and ShiftedExponential loads over both free-space laws.
+    UNIFORM_SPACE = [
+        NetworkConfig(0, N, Point(75.0), Uniform(20, 180)),
+        NetworkConfig(1, N, Uniform(50, 100), Uniform(40, 280)),
+        NetworkConfig(2, N, ShiftedExponential(30.0, 1 / 40.0), Uniform(20, 180))]
+    EXPONENTIAL_SPACE = [
+        NetworkConfig(0, N, Point(60.0), ShiftedExponential(20.0, 1 / 120.0)),
+        NetworkConfig(1, N, Uniform(40, 80), ShiftedExponential(20.0, 1 / 120.0))]
+
+    def _state(self, rng, cfgs, dead_frac, empty=(), idle=(), shared=True):
+        pops, pools = [], []
+        for k, cfg in enumerate(cfgs):
+            pop = sample_population(cfg, rng)
+            pop.alive[:] = rng.random(self.N) >= dead_frac
+            if k in empty:
+                pop.alive[:] = False
+            pop.received[:] = rng.uniform(0, 40, self.N)
+            if shared:
+                pop.received[pop.alive] = rng.uniform(0, 20)
+            pops.append(pop)
+            pools.append(0.0 if k in idle else float(rng.uniform(0, 30 * self.N)))
+        return pops, pools
+
+    def _compare(self, cfgs, strategy, dead_frac=0.3, empty=(), idle=(), shared=True):
+        attack = AttackSpec((0.0,) * len(cfgs))
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            pops, pools = self._state(rng, cfgs, dead_frac, empty, idle, shared)
+            ref_pops, ref_pools = copy.deepcopy(pops), list(pools)
+            for t in range(100):
+                if all(pl <= 0 for pl in pools) or all(p.alive_count == 0 for p in pops):
+                    break
+                views = _empirical_views(cfgs, attack, pops, pools, True)
+                matrix = decide(strategy, views, t).matrix
+                pools = mc_step_complete(pops, pools, matrix)
+                ref_pools = reference_step_complete(ref_pops, ref_pools, matrix)
+                assert pools == ref_pools
+                for p, q in zip(pops, ref_pops):
+                    assert np.array_equal(p.alive, q.alive)
+                    assert np.array_equal(p.received[p.alive], q.received[q.alive])
+            else:
+                raise AssertionError("cascade did not settle")
+
+    def test_two_networks_sbd_and_swo(self):
+        for cfgs in (self.UNIFORM_SPACE[:2], self.EXPONENTIAL_SPACE):
+            for strategy in (SBD(), SWO()):
+                self._compare(cfgs, strategy)
+
+    def test_three_networks_sbd_and_swo(self):
+        for strategy in (SBD(), SWO()):
+            self._compare(self.UNIFORM_SPACE, strategy, dead_frac=0.5)
+
+    def test_network_emptied_by_attack_passes_load_through(self):
+        for strategy in (SBD(), SWO(), FCC(CouplingMatrix.two_net(0.7, 0.2))):
+            self._compare(self.UNIFORM_SPACE[:2], strategy, empty=(0,))
+            self._compare(self.EXPONENTIAL_SPACE, strategy, empty=(1,))
+        self._compare(self.UNIFORM_SPACE, SBD(), empty=(1,))
+
+    def test_network_with_zero_inbound_load(self):
+        # alpha = 1 keeps A's pool home, beta = 1 gives B nothing to send.
+        self._compare(self.UNIFORM_SPACE[:2], FCC(CouplingMatrix.two_net(1.0, 1.0)), idle=(1,))
+        self._compare(self.UNIFORM_SPACE[:2], FCC(CouplingMatrix.two_net(0.0, 0.0)), idle=(0,))
+
+    def test_fcc_matrices_with_zero_entries(self):
+        for alpha, beta in ((1.0, 1.0), (0.0, 0.0), (1.0, 0.3), (0.4, 1.0), (0.4, 0.9)):
+            fcc = FCC(CouplingMatrix.two_net(alpha, beta))
+            self._compare(self.UNIFORM_SPACE[:2], fcc)
+            self._compare(self.EXPONENTIAL_SPACE, fcc)
+
+    def test_reads_first_survivor(self):
+        # Survivors holding different loads pin which one the step reads.
+        self._compare(self.UNIFORM_SPACE[:2], SBD(), shared=False)
+
+    def test_free_space_equal_to_load_survives(self):
+        # Every survivor reaches exactly its free space: none may fail.
+        cfgs = [NetworkConfig(0, 10, Point(10.0), Point(50.0)),
+                NetworkConfig(1, 10, Point(10.0), Point(50.0))]
+        for step in (mc_step_complete, reference_step_complete):
+            pops = [sample_population(c, np.random.default_rng(0)) for c in cfgs]
+            for pop in pops:
+                pop.alive[:4] = False
+                pop.received[pop.alive] = 40.0
+            pools = step(pops, [60.0, 60.0], CouplingMatrix.two_net(1.0, 1.0))
+            assert pools == [0.0, 0.0]
+            assert all(p.alive_count == 6 for p in pops)
+            assert all(np.all(p.received[p.alive] == 50.0) for p in pops)
+
+
+def test_survivor_mean_load_matches_mask_gather():
+    # Local-mode states: survivors hold different loads, so q_cum is a real mean.
+    n = 1000
+    cfgs = [NetworkConfig(k, n, Point(75.0), Uniform(20, 180), ErdosRenyi(6.0))
+            for k in range(2)]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        pops = [sample_population(c, rng) for c in cfgs]
+        for pop in pops:
+            pop.alive[:] = rng.random(n) >= rng.uniform(0.05, 0.95)
+            pop.received[:] = rng.exponential(30.0, n)
+        want = [float(p.received[p.alive].mean()) for p in pops]
+        views = _empirical_views(cfgs, AttackSpec((0.3, 0.0)), pops, [1.0, 1.0], True)
+        traj = []
+        _record(traj, 0, cfgs, pops, [1.0, 1.0])
+        assert [v.q_cum for v in views] == want
+        assert list(traj[0].q_cum) == want
 
 
 class TestDeterminism:
