@@ -192,14 +192,7 @@ def _parse_grid(text: str, where: str) -> tuple[float, ...]:
     return vals
 
 
-_SCALAR_KEYS = {
-    "engine": str, "networks": int, "strategy": str, "fcc.alpha": float,
-    "fcc.beta": float, "swo.lo": float, "swo.hi": float, "attack": str,
-    "attack_shape": str, "attack_grid": str, "compare": str, "seed": int,
-    "seed_count": int, "tol": float, "resolution": float,
-    "clip_floor": float, "max_steps": int,
-}
-_NET_KEYS = {"nodes", "load", "space", "topology"}
+_NET_KEYS = ("nodes", "load", "space", "topology")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -16,6 +16,11 @@ over the networks that still have survivors (mirroring the node-level
 simulation). Iteration stops when every network's survivor count changes by
 less than one node and no held load remains in flight, or when every
 network is empty (breakdown).
+
+`mf_init`, `mf_step` and `mf_run` share one step: a failure phase over
+per-run constants (node count, 1 - p, E[L], space law), then a coupling
+phase that routes the pools. A fixed coupling (FCC) is decided once, at
+t = 0, and reused on every later step.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import AttackSpec, CouplingMatrix, NetworkConfig, validate_coupling
 from .distributions import dist_mean, dist_sf_geq
-from .strategies import CouplingDecision, CouplingStrategy, NetView, decide
+from .strategies import FCC, CouplingDecision, CouplingStrategy, NetView, decide
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -76,21 +81,16 @@ class MeanFieldTrajectory:
         return sum(n for n in self.final.n_alive) / total
 
 
-def _inbound(pools: list[float], coupling: CouplingMatrix, k: int) -> float:
-    return sum(pools[i] * coupling.entry(i, k) for i in range(coupling.n))
-
-
 def _routed_inbound(pools: list[float], coupling: CouplingMatrix,
                     live: list[bool]) -> list[float]:
     """Inbound totals; a pool emitted by an empty network follows its row
     renormalized over networks that still have survivors."""
     n = len(pools)
     recv = [0.0] * n
-    for i in range(n):
-        if pools[i] <= 0.0:
+    for pool, row, emitter_live in zip(pools, coupling.m, live):
+        if pool <= 0.0:
             continue
-        row = [coupling.entry(i, k) for k in range(n)]
-        if not live[i]:
+        if not emitter_live:
             mass = sum(row[k] for k in range(n) if live[k])
             if mass > 0.0:
                 row = [row[k] / mass if live[k] else 0.0 for k in range(n)]
@@ -100,31 +100,73 @@ def _routed_inbound(pools: list[float], coupling: CouplingMatrix,
                     continue  # nothing left anywhere; caller declares breakdown
                 row = [1.0 / alive_total if live[k] else 0.0 for k in range(n)]
         for k in range(n):
-            recv[k] += pools[i] * row[k]
+            recv[k] += pool * row[k]
     return recv
+
+
+def _constants(cfgs: list[NetworkConfig], attack: AttackSpec) -> list[tuple]:
+    """Per network, once per run: (node count, 1 - p, E[L], space law)."""
+    if len(attack.p) != len(cfgs):
+        raise MeanFieldError(f"attack has {len(attack.p)} entries for {len(cfgs)} networks")
+    return [(c.node_count, 1.0 - p, dist_mean(c.load_dist), c.space_dist)
+            for c, p in zip(cfgs, attack.p)]
+
+
+def _attack_phase(nets, attack: AttackSpec) -> tuple[list[float], list[float], list[float]]:
+    """(f_0, N_0, F_0): the attacked nodes fail and emit their loads."""
+    return (list(attack.p), [keep * count for count, keep, _, _ in nets],
+            [count * p * load for (count, _, load, _), p in zip(nets, attack.p)])
+
+
+def _failure_phase(nets, prev: MeanFieldState) -> tuple[list[float], list[float], list[float]]:
+    """(f_t, N_t, F_t) implied by the load placed through step t-1.
+
+    For a network that already had no survivors, prev.total_extra holds load
+    that landed on it last step and is still in flight; it joins this step's
+    pool so the coupling phase can forward it. Every law's P[S >= inf] is 0.
+    """
+    f, n_alive, pools = [], [], []
+    for (count, keep, load, space), f_prev, alive, held, q in zip(
+            nets, prev.f, prev.n_alive, prev.total_extra, prev.q_cum):
+        surv = keep * space.sf_geq(q)
+        fi = 1.0 - surv
+        pool = count * max(fi - f_prev, 0.0) * (load + (q if q < math.inf else 0.0))
+        if alive < 1.0:
+            pool += held
+        f.append(fi)
+        n_alive.append(surv * count)
+        pools.append(pool)
+    return f, n_alive, pools
+
+
+def _coupling_phase(q_prev, t: int, f, n_alive, pools,
+                    coupling: CouplingMatrix) -> MeanFieldState:
+    """Route this step's pools on top of the cumulative loads q_prev. An
+    empty network keeps what lands on it in its pool slot (forwarded next
+    step); its per-survivor increment is the +inf sentinel."""
+    live = [na >= 1.0 for na in n_alive]
+    recv = _routed_inbound(pools, coupling, live)
+    q_step, held = [], []
+    for r, na, pool, is_live in zip(recv, n_alive, pools, live):
+        if is_live:
+            q_step.append(r / na)
+            held.append(pool)
+        else:
+            q_step.append(math.inf if r > 0.0 else 0.0)
+            held.append(r)
+    return MeanFieldState(t, tuple(f), tuple(n_alive), tuple(held), tuple(q_step),
+                          tuple([q + dq for q, dq in zip(q_prev, q_step)]))
 
 
 def mf_init(cfgs: list[NetworkConfig], attack: AttackSpec,
             coupling: CouplingMatrix) -> MeanFieldState:
-    """State right after the initial attack and its first redistribution."""
-    n = len(cfgs)
-    if len(attack.p) != n:
-        raise MeanFieldError(f"attack has {len(attack.p)} entries for {n} networks")
+    """State right after the initial attack and its first redistribution:
+    `mf_run`'s t = 0 state under `coupling`."""
+    nets = _constants(cfgs, attack)
     validate_coupling(coupling)
-    if coupling.n != n:
+    if coupling.n != len(nets):
         raise MeanFieldError("coupling matrix size does not match network count")
-
-    f0 = list(attack.p)
-    n0 = [(1.0 - p) * c.node_count for p, c in zip(f0, cfgs)]
-    pool0 = [c.node_count * p * dist_mean(c.load_dist) for p, c in zip(f0, cfgs)]
-    q0 = []
-    for k in range(n):
-        recv = _inbound(pool0, coupling, k)
-        if n0[k] <= 0.0:
-            q0.append(math.inf if recv > 0.0 else 0.0)
-        else:
-            q0.append(recv / n0[k])
-    return MeanFieldState(0, tuple(f0), tuple(n0), tuple(pool0), tuple(q0), tuple(q0))
+    return _coupling_phase((0.0,) * len(nets), 0, *_attack_phase(nets, attack), coupling)
 
 
 def mf_classify_initiation(state0: MeanFieldState,
@@ -144,70 +186,20 @@ def mf_classify_initiation(state0: MeanFieldState,
     return InitiationCase.CASE2, triggered
 
 
-def _failure_phase(prev: MeanFieldState, cfgs: list[NetworkConfig],
-                   attack: AttackSpec) -> tuple[list[float], list[float], list[float]]:
-    """(f_t, N_t, F_t) implied by the load placed through step t-1.
-
-    For a network that already had no survivors, prev.total_extra holds load
-    that landed on it last step and is still in flight; it joins this step's
-    pool so the coupling phase can forward it.
-    """
-    f, n_alive, pools = [], [], []
-    for i, cfg in enumerate(cfgs):
-        surv = (1.0 - attack.p[i]) * dist_sf_geq(cfg.space_dist, prev.q_cum[i])
-        fi = 1.0 - surv
-        newly = max(fi - prev.f[i], 0.0)
-        load = dist_mean(cfg.load_dist) + (prev.q_cum[i] if math.isfinite(prev.q_cum[i]) else 0.0)
-        pool = cfg.node_count * newly * load
-        if prev.n_alive[i] < 1.0:
-            pool += prev.total_extra[i]
-        f.append(fi)
-        n_alive.append(surv * cfg.node_count)
-        pools.append(pool)
-    return f, n_alive, pools
+def mf_step(prev: MeanFieldState, coupling: CouplingMatrix,
+            cfgs: list[NetworkConfig], attack: AttackSpec) -> MeanFieldState:
+    """One recursion step. The failure window [Q_{t-2}, Q_{t-1}] is implicit
+    in prev.f: the pool is computed through the difference f_t - f_{t-1}."""
+    return _coupling_phase(prev.q_cum, prev.t + 1,
+                           *_failure_phase(_constants(cfgs, attack), prev), coupling)
 
 
-def _coupling_phase(prev: MeanFieldState, t: int, f, n_alive, pools,
-                    coupling: CouplingMatrix) -> MeanFieldState:
-    """Route this step's pools. An empty network keeps what lands on it in
-    its pool slot (forwarded next step); its per-survivor increment is the
-    +inf sentinel."""
-    n = len(f)
-    live = [na >= 1.0 for na in n_alive]
-    recv = _routed_inbound(pools, coupling, live)
-    q_step, q_cum, held = [], [], []
-    for k in range(n):
-        if live[k]:
-            dq = recv[k] / n_alive[k]
-            held.append(pools[k])
-        else:
-            dq = math.inf if recv[k] > 0.0 else 0.0
-            held.append(recv[k])
-        q_step.append(dq)
-        q_cum.append(prev.q_cum[k] + dq)
-    return MeanFieldState(t, tuple(f), tuple(n_alive), tuple(held),
-                          tuple(q_step), tuple(q_cum))
-
-
-def mf_step(prev: MeanFieldState, prev2_qcum: tuple[float, ...],
-            coupling: CouplingMatrix, cfgs: list[NetworkConfig],
-            attack: AttackSpec) -> MeanFieldState:
-    """One recursion step. prev2_qcum (Q at t-2, zeros at t=1) parameterizes
-    the failure window [Q_{t-2}, Q_{t-1}]; the pool is computed through the
-    algebraically identical difference f_t - f_{t-1}."""
-    del prev2_qcum  # window start is implicit in prev.f
-    f, n_alive, pools = _failure_phase(prev, cfgs, attack)
-    return _coupling_phase(prev, prev.t + 1, f, n_alive, pools, coupling)
-
-
-def _views(f, n_alive, pools, q_cum, q_step, cfgs, attack) -> list[NetView]:
+def _views(nets, attack: AttackSpec, f, n_alive, pools, q_cum, q_step) -> list[NetView]:
     return [
-        NetView(
-            n_alive=n_alive[i], pool=pools[i], q_cum=q_cum[i], q_step=q_step[i],
-            frac_failed=f[i], attack_frac=attack.p[i], node_count=cfgs[i].node_count,
-            load_mean=dist_mean(cfgs[i].load_dist), space_dist=cfgs[i].space_dist,
-        )
-        for i in range(len(cfgs))
+        NetView(n_alive=na, pool=pool, q_cum=q, q_step=dq, frac_failed=fi,
+                attack_frac=p, node_count=count, load_mean=load, space_dist=space)
+        for (count, _, load, space), p, fi, na, pool, q, dq
+        in zip(nets, attack.p, f, n_alive, pools, q_cum, q_step)
     ]
 
 
@@ -223,61 +215,48 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
            strategy: CouplingStrategy, max_steps: int = DEFAULT_MAX_STEPS,
            record_decisions: bool = False,
            ) -> MeanFieldTrajectory | tuple[MeanFieldTrajectory, list[CouplingDecision]]:
-    """Iterate to a fixed point, asking the strategy for a fresh coupling
-    matrix each step (after failures are known, before the load lands)."""
+    """Iterate to a fixed point, asking the strategy for a coupling matrix
+    each step (after failures are known, before the load lands). A fixed
+    coupling (FCC) is decided at t = 0 and reused."""
     if max_steps < 1:
         raise MeanFieldError("max_steps must be >= 1")
-    n = len(cfgs)
-    if len(attack.p) != n:
-        raise MeanFieldError(f"attack has {len(attack.p)} entries for {n} networks")
-
-    f0 = list(attack.p)
-    n0 = [(1.0 - p) * c.node_count for p, c in zip(f0, cfgs)]
-    pool0 = [c.node_count * p * dist_mean(c.load_dist) for p, c in zip(f0, cfgs)]
+    nets = _constants(cfgs, attack)
+    zeros = (0.0,) * len(nets)
+    fixed = isinstance(strategy, FCC)
     decisions: list[CouplingDecision] = []
+    steps: list[MeanFieldState] = []
 
-    def finish(steps, outcome, taken):
-        final = steps[-1]
-        fractions = tuple(1.0 - fi for fi in final.f)
+    def finish(outcome, taken):
+        fractions = tuple(1.0 - fi for fi in steps[-1].f)
         traj = MeanFieldTrajectory(steps, outcome, fractions, taken)
         return (traj, decisions) if record_decisions else traj
 
-    base = MeanFieldState(0, tuple(f0), tuple(n0), tuple(pool0),
-                          (0.0,) * n, (0.0,) * n)
-    if all(na < 1.0 for na in n0):
-        return finish([base], Outcome.BREAKDOWN, 0)
-
-    dec0 = decide(strategy, _views(f0, n0, pool0, [0.0] * n, [0.0] * n, cfgs, attack), 0)
-    decisions.append(dec0)
-    state = _coupling_phase(base, 0, f0, n0, pool0, dec0.matrix)
-    steps = [state]
-
-    for t in range(1, max_steps + 1):
-        f, n_alive, pools = _failure_phase(state, cfgs, attack)
-        if all(na < 1.0 for na in n_alive):
-            terminal = MeanFieldState(t, tuple(f), tuple(n_alive), tuple(pools),
-                                      (0.0,) * n, state.q_cum)
-            steps.append(terminal)
-            return finish(steps, Outcome.BREAKDOWN, t)
-        dec = decide(strategy, _views(f, n_alive, pools, state.q_cum,
-                                      state.q_step, cfgs, attack), t)
+    f, n_alive, pools = _attack_phase(nets, attack)
+    q_cum = q_step = zeros
+    dec = None
+    for t in range(max_steps + 1):
+        if t:
+            f, n_alive, pools = _failure_phase(nets, state)
+        if max(n_alive) < 1.0:
+            steps.append(MeanFieldState(t, tuple(f), tuple(n_alive), tuple(pools),
+                                        zeros, q_cum))
+            return finish(Outcome.BREAKDOWN, t)
+        if dec is None or not fixed:
+            dec = decide(strategy, _views(nets, attack, f, n_alive, pools, q_cum, q_step), t)
         decisions.append(dec)
-        new = _coupling_phase(state, t, f, n_alive, pools, dec.matrix)
-        _check_monotone(state, new)
-        converged = all(abs(new.n_alive[i] - state.n_alive[i]) < 1.0 for i in range(n))
-        # Held load on an empty network moves next step; don't stop while
-        # more than one node's worth is still in flight.
-        converged = converged and all(
-            new.total_extra[i] < dist_mean(cfgs[i].load_dist)
-            for i in range(n) if new.n_alive[i] < 1.0
-        )
+        new = _coupling_phase(q_cum, t, f, n_alive, pools, dec.matrix)
         steps.append(new)
-        state = new
-        if converged:
-            no_new_failures = all(new.f[i] <= attack.p[i] + 1e-15 for i in range(n))
-            outcome = Outcome.NO_CASCADE if no_new_failures else Outcome.SURVIVED
-            return finish(steps, outcome, t)
-    return finish(steps, Outcome.NON_CONVERGED, max_steps)
+        if t:
+            _check_monotone(state, new)
+            # Held load on an empty network moves next step; don't stop while
+            # more than one node's worth is still in flight.
+            if all(abs(a - b) < 1.0 for a, b in zip(new.n_alive, state.n_alive)) and all(
+                    held < net[2] for held, na, net in zip(new.total_extra, new.n_alive, nets)
+                    if na < 1.0):
+                no_new_failures = all(fi <= p + 1e-15 for fi, p in zip(new.f, attack.p))
+                return finish(Outcome.NO_CASCADE if no_new_failures else Outcome.SURVIVED, t)
+        state, q_cum, q_step = new, new.q_cum, new.q_step
+    return finish(Outcome.NON_CONVERGED, max_steps)
 
 
 def rkg_identical_step(q_prev: float, m: int, load_dist, space_dist,

@@ -28,7 +28,7 @@ from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                    EdgeListTopology, ErdosRenyi, NetworkConfig, Topology)
 from .distributions import dist_mean, dist_sample
 from .meanfield import MeanFieldState, _routed_inbound
-from .strategies import SWO, CouplingStrategy, NetView, decide
+from .strategies import FCC, SWO, CouplingStrategy, NetView, decide
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -418,14 +418,17 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
         _record(trajectory, 0, cfgs, pops, pools)
 
     newly_dead = dead0
+    fixed = isinstance(strategy, FCC)  # decided on the first step, then reused
+    decision = None
     t = 0
     while t < max_steps:
         if all(p.alive_count == 0 for p in pops):
             return SimOutcome(tuple(0.0 for _ in cfgs), t, True, trajectory=trajectory)
         if all(pool <= 0.0 for pool in pools):
             break
-        views = _empirical_views(cfgs, attack, pops, pools, isinstance(strategy, SWO))
-        decision = decide(strategy, views, t)
+        if decision is None or not fixed:
+            views = _empirical_views(cfgs, attack, pops, pools, isinstance(strategy, SWO))
+            decision = decide(strategy, views, t)
         if local_mode:
             newly_dead, pools = mc_step_local(pops, newly_dead, decision.matrix)
         else:

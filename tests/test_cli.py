@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cascnet
 
 from cascnet.cli import (ConfigError, RunConfig, emit_config, main,
                          parse_config)
@@ -74,6 +80,20 @@ class TestParse:
     def test_missing_network_block_rejected(self):
         with pytest.raises(ConfigError, match="net1.load"):
             parse_config(BASE.replace("net1.load = point(75)\n", ""))
+
+    def test_missing_network_key_does_not_depend_on_hash_seed(self):
+        # The first missing key is named in the documented order whatever
+        # the interpreter's string hashing.
+        code = ("from cascnet.cli import ConfigError, parse_config\n"
+                "try:\n    parse_config('networks = 1\\n')\n"
+                "except ConfigError as exc:\n    print(exc)\n")
+        src = str(Path(cascnet.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout == "missing required key 'net0.nodes'\n"
 
     def test_attack_length_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="attack"):

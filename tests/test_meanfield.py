@@ -40,12 +40,25 @@ class TestInit:
         assert state.q_cum[1] == pytest.approx(18.75)
 
     def test_full_attack_sentinel(self):
-        # every node of A dies and the identity coupling aims A's pool back
-        # at A: no survivors can take it, so A's average extra load is +inf
+        # Every node of A dies. The identity coupling aims A's pool back at A,
+        # which has no survivors, so the pool follows A's row renormalized
+        # over the live networks: all of it lands on B.
         state = mf_init(two_nets(), AttackSpec((1.0, 0.0)),
                         CouplingMatrix.identity(2))
+        assert state.q_cum == (0.0, pytest.approx(75.0))
+        # Half of B's pool is aimed at the empty A: A holds it, and its
+        # average extra load is +inf.
+        state = mf_init(two_nets(), AttackSpec((1.0, 0.5)),
+                        CouplingMatrix.two_net(0.5, 0.5))
         assert math.isinf(state.q_cum[0])
-        assert state.q_cum[1] == 0.0
+        assert state.total_extra[0] == pytest.approx(0.25 * N * 75.0)
+        assert state.q_cum[1] == pytest.approx(187.5)
+
+    @pytest.mark.parametrize("attack", [(0.5, 0.0), (1.0, 0.0), (1.0, 0.5), (0.3, 0.6)])
+    def test_is_the_first_state_of_a_run(self, attack):
+        for matrix in (CouplingMatrix.two_net(0.5, 0.5), CouplingMatrix.identity(2)):
+            run = mf_run(two_nets(), AttackSpec(attack), FCC(matrix))
+            assert mf_init(two_nets(), AttackSpec(attack), matrix) == run.steps[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(MeanFieldError):
@@ -80,7 +93,7 @@ class TestStepGolden:
         # space below 37.5 fail: f = 1 - 0.5 * (1 - 17.5/160) exactly.
         state0 = mf_init(two_nets(), AttackSpec((0.5, 0.0)),
                          CouplingMatrix.two_net(0.5, 0.5))
-        state1 = mf_step(state0, (0.0, 0.0), CouplingMatrix.two_net(0.5, 0.5),
+        state1 = mf_step(state0, CouplingMatrix.two_net(0.5, 0.5),
                          two_nets(), AttackSpec((0.5, 0.0)))
         assert state1.f[0] == pytest.approx(0.5546875, abs=1e-12)
         assert state1.f[1] == 0.0  # 18.75 is below B's minimum space of 20

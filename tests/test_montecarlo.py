@@ -15,7 +15,8 @@ from cascnet.montecarlo import (Graph, NodePopulation, SimulationError,
                                 mc_step_complete, mc_step_local, read_edge_list,
                                 sample_population, write_edge_list)
 from cascnet.search import GraphCache
-from cascnet.strategies import FCC, SBD, SWO, decide
+from cascnet import montecarlo
+from cascnet.strategies import FCC, SBD, SWO, StrategyError, decide
 
 
 def complete_graph(n: int) -> Graph:
@@ -425,6 +426,55 @@ def test_survivor_mean_load_matches_mask_gather():
         _record(traj, 0, cfgs, pops, [1.0, 1.0])
         assert [v.q_cum for v in views] == want
         assert list(traj[0].q_cum) == want
+
+
+class TestFixedCouplingDecidedOnce:
+    """FCC asks `decide` on the first step that routes load and reuses that
+    matrix. Outcomes are those of deciding on every step."""
+
+    COMPLETE = [NetworkConfig(0, 2000, Point(75.0), Uniform(20, 180)),
+                NetworkConfig(1, 2000, Uniform(50, 100), Uniform(40, 280))]
+    LOCAL = [NetworkConfig(0, 500, Point(75.0), Uniform(20, 180), ErdosRenyi(6.0)),
+             NetworkConfig(1, 500, Point(75.0), Uniform(20, 180), BarabasiAlbert(6.0))]
+    # (system, alpha, beta, attack) -> (final fractions, steps), recorded
+    # when `decide` still ran on every step.
+    CASES = [(COMPLETE, 0.0, 0.0, (0.5, 0.2), (0.387, 0.7105), 15),
+             (COMPLETE, 0.4, 0.9, (0.5, 0.2), (0.427, 0.708), 11),
+             (COMPLETE, 1.0, 0.3, (0.3, 0.0), (0.0, 0.0), 19),
+             (COMPLETE, 0.5, 0.5, (1.0, 0.0), (0.0, 0.0), 7),
+             (LOCAL, 0.0, 0.0, (0.3, 0.0), (0.666, 0.914), 9),
+             (LOCAL, 0.4, 0.9, (0.3, 0.0), (0.692, 0.976), 4),
+             (LOCAL, 1.0, 1.0, (0.3, 0.0), (0.0, 0.0), 10)]
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        calls = []
+
+        def counting(strategy, views, t):
+            calls.append(t)
+            return decide(strategy, views, t)
+
+        monkeypatch.setattr(montecarlo, "decide", counting)
+        return calls
+
+    def test_one_decision_per_run(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        for cfgs, alpha, beta, attack, fractions, steps in self.CASES:
+            calls.clear()
+            out = mc_run(cfgs, AttackSpec(attack), FCC(CouplingMatrix.two_net(alpha, beta)),
+                         seed=7)
+            assert (out.final_fractions, out.steps) == (fractions, steps)
+            assert calls == [0]
+
+    def test_no_decision_without_load_to_route(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        # A zero attack routes nothing, so even a wrong-size matrix passes.
+        out = mc_run(self.COMPLETE, AttackSpec((0.0, 0.0)), FCC(CouplingMatrix.identity(3)),
+                     seed=7)
+        assert out.final_fractions == (1.0, 1.0) and out.steps == 0 and calls == []
+        with pytest.raises(StrategyError):
+            mc_run(self.COMPLETE, AttackSpec((0.3, 0.0)), FCC(CouplingMatrix.identity(3)),
+                   seed=7)
 
 
 class TestDeterminism:
