@@ -56,7 +56,11 @@ class NetworkConfig:
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
         if isinstance(self.topology, (ErdosRenyi, BarabasiAlbert)):
-            deg = self.topology.mean_degree
+            deg, hi = self.topology.mean_degree, self.node_count - 1
+            # An ER edge probability, mean_degree / (node_count - 1), is at most 1.
+            if isinstance(self.topology, ErdosRenyi) and not (0 < deg <= hi):
+                raise ValueError(f"er mean_degree must be in (0, node_count - 1] "
+                                 f"= (0, {hi}], got {deg}")
             if not (0 < deg < self.node_count):
                 raise ValueError(f"mean_degree must be in (0, node_count), got {deg}")
 

@@ -84,7 +84,13 @@ class SimOutcome:
 def _edges_to_csr(node_count: int, u: np.ndarray, v: np.ndarray) -> Graph:
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
-    order = np.argsort(src, kind="stable")
+    size = src.size
+    if node_count * size >= 2 ** 63:
+        raise SimulationError(f"{node_count} nodes and {size} endpoints overflow the sort key")
+    # Unique keys (src, position): an unstable sort gives the stable order.
+    order = src * size + np.arange(size)
+    order.sort()
+    order %= size
     src, dst = src[order], dst[order]
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
@@ -132,27 +138,17 @@ def _barabasi_albert(node_count: int, mean_degree: float, rng: np.random.Generat
     clique_u, clique_v = np.triu_indices(m0, k=1)
     n_clique = clique_u.size
     total_edges = n_clique + (node_count - m0) * m
-    us = np.empty(total_edges, dtype=np.int64)
-    vs = np.empty(total_edges, dtype=np.int64)
-    us[:n_clique], vs[:n_clique] = clique_u, clique_v
-    # Endpoint list: sampling from it is degree-proportional attachment.
+    # Endpoint list, edge e at (2e, 2e + 1): sampling it is preferential attachment.
     endpoints = np.empty(2 * total_edges, dtype=np.int64)
     endpoints[0:2 * n_clique:2] = clique_u
     endpoints[1:2 * n_clique:2] = clique_v
-    fill = 2 * n_clique
-    e = n_clique
-    for v in range(m0, node_count):
+    endpoints[2 * n_clique::2] = np.repeat(np.arange(m0, node_count), m)
+    for fill in range(2 * n_clique, endpoints.size, 2 * m):
         targets: set[int] = set()
         while len(targets) < m:
-            cand = endpoints[rng.integers(0, fill, size=m - len(targets))]
-            targets.update(int(c) for c in cand)
-        for t in targets:
-            us[e], vs[e] = v, t
-            endpoints[fill] = v
-            endpoints[fill + 1] = t
-            fill += 2
-            e += 1
-    return _edges_to_csr(node_count, us, vs)
+            targets.update(endpoints[rng.integers(0, fill, size=m - len(targets))].tolist())
+        endpoints[fill + 1:fill + 2 * m:2] = list(targets)
+    return _edges_to_csr(node_count, endpoints[0::2], endpoints[1::2])
 
 
 def graph_seed(seed: int, index: int) -> int:

@@ -205,6 +205,17 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes,degree", [(1, "0.5"), (20, "19.5")])
+    def test_erdos_renyi_degree_above_n_minus_1_returns_2(self, tmp_path, capsys,
+                                                          nodes, degree):
+        cfg = (BASE.replace("engine = meanfield", "engine = montecarlo")
+               .replace("net0.nodes = 1000000", f"net0.nodes = {nodes}")
+               .replace("net0.topology = complete", f"net0.topology = er({degree})"))
+        rc = main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "(0, node_count - 1]" in capsys.readouterr().err
+
     def _edge_list_run(self, tmp_path, edges, out="out"):
         path = tmp_path / "edges.txt"
         path.write_text(edges)

@@ -61,6 +61,13 @@ class TestNetworkConfig:
             NetworkConfig(0, 100, Point(75.0), Uniform(20, 180), BarabasiAlbert(100.0))
         NetworkConfig(0, 100, Point(75.0), Uniform(20, 180), ErdosRenyi(20.0))
 
+    @pytest.mark.parametrize("nodes,degree", [(1, 0.5), (20, 19.5)])
+    def test_erdos_renyi_degree_at_most_n_minus_1(self, nodes, degree):
+        # The edge probability degree / (nodes - 1) must not exceed 1.
+        with pytest.raises(ValueError, match=r"\(0, node_count - 1\]"):
+            NetworkConfig(0, nodes, Point(75.0), Uniform(20, 180), ErdosRenyi(degree))
+        NetworkConfig(0, 20, Point(75.0), Uniform(20, 180), ErdosRenyi(19.0))
+
     def test_default_topology_complete(self):
         cfg = NetworkConfig(0, 10, Point(1.0), Uniform(0, 1))
         assert isinstance(cfg.topology, Complete)

@@ -1,6 +1,7 @@
 """Node-level simulation: hand-traced cascades, conservation, graphs."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -519,7 +520,81 @@ class TestLocalMatchesGlobal:
             assert loc.final_fractions == pytest.approx(ref.final_fractions, abs=0.02)
 
 
+# Reference CSR construction: the stable argsort that _edges_to_csr's keyed
+# sort replaced. The fast build must reproduce it bit for bit.
+def reference_csr(node_count, u, v):
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, dst[order].astype(np.int64)
+
+
+# Reference BA generator: the per-edge construction that _barabasi_albert
+# replaced, kept verbatim. The fast generator must give the same graph.
+def reference_barabasi_albert(node_count: int, mean_degree: float, rng: np.random.Generator) -> Graph:
+    m = max(1, math.ceil(mean_degree / 2.0))
+    m0 = m + 1
+    if node_count <= m0:
+        raise SimulationError("node_count too small for the requested mean degree")
+    clique_u, clique_v = np.triu_indices(m0, k=1)
+    n_clique = clique_u.size
+    total_edges = n_clique + (node_count - m0) * m
+    us = np.empty(total_edges, dtype=np.int64)
+    vs = np.empty(total_edges, dtype=np.int64)
+    us[:n_clique], vs[:n_clique] = clique_u, clique_v
+    # Endpoint list: sampling from it is degree-proportional attachment.
+    endpoints = np.empty(2 * total_edges, dtype=np.int64)
+    endpoints[0:2 * n_clique:2] = clique_u
+    endpoints[1:2 * n_clique:2] = clique_v
+    fill = 2 * n_clique
+    e = n_clique
+    for v in range(m0, node_count):
+        targets: set[int] = set()
+        while len(targets) < m:
+            cand = endpoints[rng.integers(0, fill, size=m - len(targets))]
+            targets.update(int(c) for c in cand)
+        for t in targets:
+            us[e], vs[e] = v, t
+            endpoints[fill] = v
+            endpoints[fill + 1] = t
+            fill += 2
+            e += 1
+    return _edges_to_csr(node_count, us, vs)
+
+
 class TestGraphs:
+    @pytest.mark.parametrize("n,edges", [(1, 0), (7, 0), (4, 5), (40, 60), (2000, 30_000)])
+    def test_edges_to_csr_matches_stable_argsort(self, n, edges):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            # Ids come from the lower half, so the upper half is isolated.
+            u, v = rng.integers(0, max(1, n // 2), size=(2, edges), dtype=np.int64)
+            if edges:
+                # Repeat a third of the edges, in both orientations, and add
+                # a self-loop.
+                k = edges // 3
+                u, v = np.r_[u, u[:k], v[:k], 0], np.r_[v, v[:k], u[:k], 0]
+            got = _edges_to_csr(n, u, v)
+            indptr, indices = reference_csr(n, u, v)
+            assert got.indptr.dtype == got.indices.dtype == np.int64
+            assert np.array_equal(got.indptr, indptr)
+            assert np.array_equal(got.indices, indices)
+
+    def test_edges_to_csr_rejects_sort_key_overflow(self):
+        with pytest.raises(SimulationError, match="overflow"):
+            _edges_to_csr(2 ** 62, np.array([0]), np.array([1]))
+
+    @pytest.mark.parametrize("n", [50, 2000])
+    @pytest.mark.parametrize("degree", [1.0, 3.0, 7.5, 20.0])
+    def test_barabasi_albert_matches_per_edge_construction(self, n, degree):
+        for seed in range(3):
+            want = reference_barabasi_albert(n, degree, np.random.default_rng(seed))
+            got = generate_graph(BarabasiAlbert(degree), n, seed)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+
     def test_erdos_renyi_mean_degree(self):
         g = generate_graph(ErdosRenyi(40.0), 2000, seed=5)
         assert 2.0 * g.edge_count / g.node_count == pytest.approx(40.0, abs=0.5)
@@ -551,6 +626,14 @@ class TestGraphs:
         assert g2.edge_count == g.edge_count
         for v in range(200):
             assert sorted(g2.neighbors(v).tolist()) == sorted(g.neighbors(v).tolist())
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_edge_list_of_comments_only_is_empty(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("# no edges\n\n# at all\n")
+        g = read_edge_list(str(path), 3)
+        assert g.indptr.tolist() == [0, 0, 0, 0]
+        assert g.indices.size == 0 and g.indices.dtype == np.int64
 
     @pytest.mark.parametrize("line", ["-1 2", "1 5"])
     def test_edge_list_rejects_out_of_range_ids(self, tmp_path, line):
