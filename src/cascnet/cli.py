@@ -30,6 +30,8 @@ Configs are flat ``key = value`` files (diff-friendly, no nesting):
 
 Every subcommand writes its CSV artifacts plus ``manifest.json`` (config
 hash, seeds, library versions) so a run can be reproduced byte-for-byte.
+``RunConfig``'s fields are the table of keys, defaults and ranges; the
+``--seed``, ``--tol`` and ``--resolution`` flags are checked like their keys.
 """
 
 from __future__ import annotations
@@ -40,15 +42,14 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
-                   EdgeListTopology, ErdosRenyi, NetworkConfig, Topology)
-from .distributions import (DistributionSpec, Point, ShiftedExponential,
-                            Uniform)
+                   EdgeListTopology, ErdosRenyi, NetworkConfig)
+from .distributions import Point, ShiftedExponential, Uniform
 from .meanfield import Outcome, mf_run, trajectory_to_csv
 from .montecarlo import SimulationError, mc_run
 from .search import (GraphCache, attack_sweep, compare_strategies,
@@ -68,25 +69,110 @@ class ConfigError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# Value forms: each parser maps one value's text to its value or raises
+# ValueError; parse_config names the key.
+# ---------------------------------------------------------------------------
+
+_DISTRIBUTIONS = {"point": Point, "uniform": Uniform, "shiftedexp": ShiftedExponential}
+_TOPOLOGIES = {"complete": Complete, "er": ErdosRenyi, "ba": BarabasiAlbert,
+               "edges": EdgeListTopology}
+_CALL_NAMES = {cls: name for forms in (_DISTRIBUTIONS, _TOPOLOGIES)
+               for name, cls in forms.items()}
+
+
+def _call_form(forms: dict[str, type]):
+    """Parser for ``name(arg,...)``: the arguments fill the class's fields in
+    order, as floats unless the field is a string. A class without fields is
+    written as its bare name."""
+    def parse(text: str):
+        name, paren, body = text.partition("(")
+        cls = forms.get(name.strip())
+        if cls is None:
+            raise ValueError(f"unknown form {text!r}, expected one of {', '.join(forms)}")
+        params = fields(cls)
+        if not params and not paren:
+            return cls()
+        if not params or not body.endswith(")"):
+            raise ValueError(f"expected name(args) or a bare name, got {text!r}")
+        args = [a.strip() for a in body[:-1].split(",")] if body[:-1].strip() else []
+        if len(args) != len(params):
+            raise ValueError(f"{name.strip()} takes {len(params)} argument(s), got {text!r}")
+        return cls(*(a if p.type in (str, "str") else float(a) for p, a in zip(params, args)))
+    return parse
+
+
+def _strategy_args(text: str) -> tuple[str, tuple[float, ...]]:
+    """Split ``fcc[:alpha[:beta]]``, ``sbd`` or ``swo`` into kind and arguments."""
+    kind, *args = text.split(":")
+    if kind not in ("fcc", "sbd", "swo"):
+        raise ValueError(f"{text!r} is not a strategy (fcc, sbd or swo)")
+    if len(args) > (2 if kind == "fcc" else 0):
+        raise ValueError(f"{text!r} has too many arguments")
+    values = tuple(float(a) for a in args)
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"{text!r} has a coefficient outside [0, 1]")
+    return kind, values
+
+
+def _strategy(text: str) -> str:
+    _strategy_args(text)
+    return text
+
+
+def _engine(text: str) -> str:
+    if text not in ("meanfield", "montecarlo"):
+        raise ValueError(f"must be meanfield or montecarlo, got {text!r}")
+    return text
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    """``lo:hi:step`` or an explicit comma list."""
+    if ":" not in text:
+        return _floats(text)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected lo:hi:step, got {text!r}")
+    lo, hi, step = map(float, parts)
+    # the bound on the step count also rejects infinite and NaN ends
+    if not (step > 0 and hi >= lo and (hi - lo) / step <= 1e5):
+        raise ValueError("need step > 0, hi >= lo and at most 100000 steps")
+    n = int(round((hi - lo) / step))
+    return tuple(round(lo + k * step, 12) for k in range(n + 1))
+
+
+def _key(key: str, kind, default, lo=None, hi=None):
+    """A config key: its name, its parser, its default and its inclusive range
+    (checked on every element of a tuple)."""
+    return field(default=default, metadata={"key": key, "kind": kind, "range": (lo, hi)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    engine: str = "meanfield"
-    networks: tuple[NetworkConfig, ...] = ()
-    strategy_name: str = "sbd"
-    fcc_alpha: float = 0.5
-    fcc_beta: float = 0.5
-    swo_lo: float = 0.0
-    swo_hi: float = 1.0
-    attack: tuple[float, ...] = ()
-    attack_shape: tuple[float, ...] = ()
-    attack_grid: tuple[float, ...] = ()
-    compare: tuple[str, ...] = ("sbd", "swo")
-    seed: int = 0
-    seed_count: int = 100
-    tol: float = 1e-3
-    resolution: float = 0.05
-    clip_floor: float = 0.0
-    max_steps: int = 100_000
+    """One field per config key, in emit_config's line order."""
+    engine: str = _key("engine", _engine, "meanfield")
+    networks: tuple[NetworkConfig, ...] = _key("networks", int, (), lo=1)
+    strategy_name: str = _key("strategy", _strategy, "sbd")
+    fcc_alpha: float = _key("fcc.alpha", float, 0.5, 0.0, 1.0)
+    fcc_beta: float = _key("fcc.beta", float, 0.5, 0.0, 1.0)
+    swo_lo: float = _key("swo.lo", float, 0.0, 0.0, 1.0)
+    swo_hi: float = _key("swo.hi", float, 1.0, 0.0, 1.0)
+    attack: tuple[float, ...] = _key("attack", _floats, (), 0.0, 1.0)
+    attack_shape: tuple[float, ...] = _key("attack_shape", _floats, (), 0.0, 1.0)
+    attack_grid: tuple[float, ...] = _key("attack_grid", _grid, (), 0.0, 1.0)
+    compare: tuple[str, ...] = _key(
+        "compare", lambda t: tuple(_strategy(s.strip()) for s in t.split(",")),
+        ("sbd", "swo"))
+    seed: int = _key("seed", int, 0)
+    seed_count: int = _key("seed_count", int, 100, lo=1)
+    tol: float = _key("tol", float, 1e-3, 1e-12, 0.5)
+    resolution: float = _key("resolution", float, 0.05, 1e-6, 1.0)
+    clip_floor: float = _key("clip_floor", float, 0.0, 0.0, 1.0)
+    max_steps: int = _key("max_steps", int, 100_000, lo=1)
 
     @property
     def seeds(self) -> list[int]:
@@ -96,108 +182,48 @@ class RunConfig:
         return _make_strategy(self.strategy_name, self)
 
 
+_FIELDS = {f.metadata["key"]: f for f in fields(RunConfig)}
+# (key suffix, NetworkConfig field, parser) for each network's block netI.*
+_NET_KEYS = (("nodes", "node_count", int),
+             ("load", "load_dist", _call_form(_DISTRIBUTIONS)),
+             ("space", "space_dist", _call_form(_DISTRIBUTIONS)),
+             ("topology", "topology", _call_form(_TOPOLOGIES)))
+
+
 def _make_strategy(name: str, cfg: RunConfig) -> CouplingStrategy:
-    parts = name.split(":")
-    kind = parts[0]
+    kind, args = _strategy_args(name)
     if kind == "fcc":
-        a = float(parts[1]) if len(parts) > 1 else cfg.fcc_alpha
-        b = float(parts[2]) if len(parts) > 2 else cfg.fcc_beta
-        return FCC(CouplingMatrix.two_net(a, b))
-    if kind == "sbd":
-        return SBD()
-    if kind == "swo":
-        return SWO(bounds=((cfg.swo_lo, cfg.swo_hi),))
-    raise ConfigError(f"unknown strategy {name!r}")
+        alpha, beta = args + (cfg.fcc_alpha, cfg.fcc_beta)[len(args):]
+        return FCC(CouplingMatrix.two_net(alpha, beta))
+    return SBD() if kind == "sbd" else SWO(bounds=((cfg.swo_lo, cfg.swo_hi),))
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and emission
 # ---------------------------------------------------------------------------
 
-def _parse_dist(text: str, where: str) -> DistributionSpec:
-    name, args = _call_form(text, where)
+def _parse(key: str, parse, text: str, lo=None, hi=None):
+    """One key's value from its text: the key's parser, then its range."""
     try:
-        if name == "point":
-            (v,) = args
-            return Point(v)
-        if name == "uniform":
-            lo, hi = args
-            return Uniform(lo, hi)
-        if name == "shiftedexp":
-            shift, rate = args
-            return ShiftedExponential(shift, rate)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown distribution {name!r}")
-
-
-def _parse_topology(text: str, where: str) -> Topology:
-    if text == "complete":
-        return Complete()
-    name, args = _call_form(text, where, numeric=(not text.startswith("edges")))
-    try:
-        if name == "er":
-            (deg,) = args
-            return ErdosRenyi(deg)
-        if name == "ba":
-            (deg,) = args
-            return BarabasiAlbert(deg)
-        if name == "edges":
-            (path,) = args
-            return EdgeListTopology(path)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown topology {text!r}")
-
-
-def _call_form(text: str, where: str, numeric: bool = True):
-    if "(" not in text or not text.endswith(")"):
-        raise ConfigError(f"{where}: expected name(args), got {text!r}")
-    name, body = text[:-1].split("(", 1)
-    args = [a.strip() for a in body.split(",")] if body.strip() else []
-    if numeric:
-        try:
-            args = [float(a) for a in args]
-        except ValueError as exc:
-            raise ConfigError(f"{where}: non-numeric argument in {text!r}") from exc
-    return name.strip(), args
-
-
-def _parse_fractions(text: str, where: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(x) for x in text.split(","))
+        value = parse(text)
     except ValueError as exc:
-        raise ConfigError(f"{where}: expected comma-separated numbers") from exc
-    for v in vals:
-        if not (0.0 <= v <= 1.0):
-            raise ConfigError(f"{where}: value {v} outside [0, 1]")
-    return vals
+        raise ConfigError(f"'{key}': {exc}") from exc
+    for v in value if isinstance(value, tuple) else (value,):
+        if lo is not None and not v >= lo:
+            raise ConfigError(f"'{key}' must be >= {lo}, got {v}")
+        if hi is not None and not v <= hi:
+            raise ConfigError(f"'{key}' must be <= {hi}, got {v}")
+    return value
 
 
-def _parse_grid(text: str, where: str) -> tuple[float, ...]:
-    if ":" in text:
-        try:
-            lo, hi, step = (float(x) for x in text.split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: expected lo:hi:step") from exc
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"{where}: need step > 0 and hi >= lo")
-        n = int(round((hi - lo) / step))
-        vals = tuple(round(lo + k * step, 12) for k in range(n + 1))
-    else:
-        vals = tuple(float(x) for x in text.split(","))
-    for v in vals:
-        if not (0.0 <= v <= 1.0):
-            raise ConfigError(f"{where}: grid value {v} outside [0, 1]")
-    return vals
-
-
-_NET_KEYS = ("nodes", "load", "space", "topology")
+def _parse_key(key: str, text: str):
+    meta = _FIELDS[key].metadata
+    return _parse(key, meta["kind"], text, *meta["range"])
 
 
 def parse_config(text: str) -> RunConfig:
     """Strict key-value parsing; unknown keys and out-of-range values are
-    rejected with the offending line."""
+    rejected naming the key (unknown and duplicate keys with their line)."""
     raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -210,158 +236,72 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = (lineno, value)
 
-    def take(key, default=None):
-        if key in raw:
-            return raw.pop(key)[1]
-        return default
+    def take(key: str) -> str | None:
+        return raw.pop(key)[1] if key in raw else None
 
     cfg = {}
-    n_nets = take("networks")
-    if n_nets is None:
-        raise ConfigError("missing required key 'networks'")
-    try:
-        n_nets = int(n_nets)
-    except ValueError as exc:
-        raise ConfigError("'networks' must be an integer") from exc
-    if n_nets < 1:
-        raise ConfigError("'networks' must be >= 1")
-
-    nets = []
-    for i in range(n_nets):
-        prefix = f"net{i}."
-        vals = {}
-        for sub in _NET_KEYS:
-            v = take(prefix + sub)
-            if v is None:
-                raise ConfigError(f"missing required key '{prefix}{sub}'")
-            vals[sub] = v
-        try:
-            nodes = int(vals["nodes"])
-        except ValueError as exc:
-            raise ConfigError(f"'{prefix}nodes' must be an integer") from exc
-        try:
-            nets.append(NetworkConfig(
-                id=i, node_count=nodes,
-                load_dist=_parse_dist(vals["load"], prefix + "load"),
-                space_dist=_parse_dist(vals["space"], prefix + "space"),
-                topology=_parse_topology(vals["topology"], prefix + "topology"),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"net{i}: {exc}") from exc
-    cfg["networks"] = tuple(nets)
-
-    engine = take("engine", "meanfield")
-    if engine not in ("meanfield", "montecarlo"):
-        raise ConfigError(f"'engine' must be meanfield or montecarlo, got {engine!r}")
-    cfg["engine"] = engine
-    cfg["strategy_name"] = take("strategy", "sbd")
-    if cfg["strategy_name"].split(":")[0] not in ("fcc", "sbd", "swo"):
-        raise ConfigError(f"'strategy' must be fcc, sbd or swo, got {cfg['strategy_name']!r}")
-
-    def num(key, default, lo=None, hi=None, integer=False):
-        v = take(key, None)
-        if v is None:
-            return default
-        try:
-            out = int(v) if integer else float(v)
-        except ValueError as exc:
-            raise ConfigError(f"'{key}' must be a number, got {v!r}") from exc
-        if lo is not None and out < lo:
-            raise ConfigError(f"'{key}' must be >= {lo}, got {out}")
-        if hi is not None and out > hi:
-            raise ConfigError(f"'{key}' must be <= {hi}, got {out}")
-        return out
-
-    cfg["fcc_alpha"] = num("fcc.alpha", 0.5, 0.0, 1.0)
-    cfg["fcc_beta"] = num("fcc.beta", 0.5, 0.0, 1.0)
-    cfg["swo_lo"] = num("swo.lo", 0.0, 0.0, 1.0)
-    cfg["swo_hi"] = num("swo.hi", 1.0, 0.0, 1.0)
-    if cfg["swo_lo"] > cfg["swo_hi"]:
-        raise ConfigError("'swo.lo' must not exceed 'swo.hi'")
-    cfg["seed"] = num("seed", 0, integer=True)
-    cfg["seed_count"] = num("seed_count", 100, lo=1, integer=True)
-    cfg["tol"] = num("tol", 1e-3, lo=1e-12, hi=0.5)
-    cfg["resolution"] = num("resolution", 0.05, lo=1e-6, hi=1.0)
-    cfg["clip_floor"] = num("clip_floor", 0.0, 0.0, 1.0)
-    cfg["max_steps"] = num("max_steps", 100_000, lo=1, integer=True)
-
-    attack = take("attack")
-    cfg["attack"] = _parse_fractions(attack, "attack") if attack else ()
-    shape = take("attack_shape")
-    cfg["attack_shape"] = _parse_fractions(shape, "attack_shape") if shape else ()
-    grid = take("attack_grid")
-    cfg["attack_grid"] = _parse_grid(grid, "attack_grid") if grid else ()
-    compare = take("compare")
-    cfg["compare"] = tuple(s.strip() for s in compare.split(",")) if compare else ("sbd", "swo")
-    for name in cfg["compare"]:
-        if name.split(":")[0] not in ("fcc", "sbd", "swo"):
-            raise ConfigError(f"'compare' entry {name!r} is not a strategy")
+    for key, f in _FIELDS.items():
+        value = take(key)
+        if key == "networks":
+            if value is None:
+                raise ConfigError("missing required key 'networks'")
+            cfg[f.name] = _parse_networks(_parse_key(key, value), take)
+        elif value is not None and (value or not isinstance(f.default, tuple)):
+            cfg[f.name] = _parse_key(key, value)  # an empty tuple key keeps its default
 
     if raw:
         key, (lineno, _) = next(iter(raw.items()))
         raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
     out = RunConfig(**cfg)
-    for vec, name in ((out.attack, "attack"), (out.attack_shape, "attack_shape")):
-        if vec and len(vec) != n_nets:
-            raise ConfigError(f"'{name}' has {len(vec)} entries for {n_nets} networks")
+    if out.swo_lo > out.swo_hi:
+        raise ConfigError("'swo.lo' must not exceed 'swo.hi'")
+    for name in ("attack", "attack_shape"):
+        vec = getattr(out, name)
+        if vec and len(vec) != len(out.networks):
+            raise ConfigError(f"'{name}' has {len(vec)} entries for {len(out.networks)} networks")
     return out
 
 
-def _emit_dist(d: DistributionSpec) -> str:
-    if isinstance(d, Point):
-        return f"point({d.value!r})"
-    if isinstance(d, Uniform):
-        return f"uniform({d.lo!r},{d.hi!r})"
-    if isinstance(d, ShiftedExponential):
-        return f"shiftedexp({d.shift!r},{d.rate!r})"
-    raise ConfigError(f"cannot emit distribution {d!r}")
+def _parse_networks(count: int, take) -> tuple[NetworkConfig, ...]:
+    nets = []
+    for i in range(count):
+        vals = {}
+        for sub, name, parse in _NET_KEYS:
+            value = take(f"net{i}.{sub}")
+            if value is None:
+                raise ConfigError(f"missing required key 'net{i}.{sub}'")
+            vals[name] = _parse(f"net{i}.{sub}", parse, value)
+        try:
+            nets.append(NetworkConfig(id=i, **vals))
+        except ValueError as exc:
+            raise ConfigError(f"net{i}: {exc}") from exc
+    return tuple(nets)
 
 
-def _emit_topology(t: Topology) -> str:
-    if isinstance(t, Complete):
-        return "complete"
-    if isinstance(t, ErdosRenyi):
-        return f"er({t.mean_degree!r})"
-    if isinstance(t, BarabasiAlbert):
-        return f"ba({t.mean_degree!r})"
-    if isinstance(t, EdgeListTopology):
-        return f"edges({t.path})"
-    raise ConfigError(f"cannot emit topology {t!r}")
+def _fmt(value) -> str:
+    """repr for floats, str for ints and strings, comma-joined for tuples,
+    and the call form for distributions and topologies."""
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
+    if type(value) in _CALL_NAMES:
+        args = tuple(getattr(value, f.name) for f in fields(value))
+        name = _CALL_NAMES[type(value)]
+        return f"{name}({_fmt(args)})" if args else name
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_config(cfg: RunConfig) -> str:
-    """Normalized text form; parse(emit(cfg)) == cfg."""
-    lines = [f"engine = {cfg.engine}", f"networks = {len(cfg.networks)}"]
-    for i, net in enumerate(cfg.networks):
-        lines += [
-            f"net{i}.nodes = {net.node_count}",
-            f"net{i}.load = {_emit_dist(net.load_dist)}",
-            f"net{i}.space = {_emit_dist(net.space_dist)}",
-            f"net{i}.topology = {_emit_topology(net.topology)}",
-        ]
-    lines += [
-        f"strategy = {cfg.strategy_name}",
-        f"fcc.alpha = {cfg.fcc_alpha!r}",
-        f"fcc.beta = {cfg.fcc_beta!r}",
-        f"swo.lo = {cfg.swo_lo!r}",
-        f"swo.hi = {cfg.swo_hi!r}",
-    ]
-    if cfg.attack:
-        lines.append("attack = " + ",".join(repr(v) for v in cfg.attack))
-    if cfg.attack_shape:
-        lines.append("attack_shape = " + ",".join(repr(v) for v in cfg.attack_shape))
-    if cfg.attack_grid:
-        lines.append("attack_grid = " + ",".join(repr(v) for v in cfg.attack_grid))
-    lines += [
-        "compare = " + ",".join(cfg.compare),
-        f"seed = {cfg.seed}",
-        f"seed_count = {cfg.seed_count}",
-        f"tol = {cfg.tol!r}",
-        f"resolution = {cfg.resolution!r}",
-        f"clip_floor = {cfg.clip_floor!r}",
-        f"max_steps = {cfg.max_steps}",
-    ]
+    """Normalized text form, one line per field (an empty tuple key is left
+    out); parse(emit(cfg)) == cfg."""
+    lines = []
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, f.name)
+        if key == "networks":
+            lines.append(f"networks = {len(value)}")
+            lines += [f"net{i}.{sub} = {_fmt(getattr(net, name))}"
+                      for i, net in enumerate(value) for sub, name, _ in _NET_KEYS]
+        elif not (isinstance(value, tuple) and not value):
+            lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -531,12 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="override base seed")
+        p.add_argument("--seed", help="override base seed")
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--resolution", type=float, default=None,
-                       help="override coupling-grid resolution")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override bisection tolerance")
+        p.add_argument("--resolution", help="override coupling-grid resolution")
+        p.add_argument("--tol", help="override bisection tolerance")
         p.add_argument("--edges", action="append", default=[],
                        metavar="NET=PATH",
                        help="use an edge-list file as network NET's topology")
@@ -547,12 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(Path(args.config).read_text())
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.resolution is not None:
-            cfg = replace(cfg, resolution=args.resolution)
-        if args.tol is not None:
-            cfg = replace(cfg, tol=args.tol)
+        for key in ("seed", "resolution", "tol"):  # checked like the config key
+            if getattr(args, key) is not None:
+                cfg = replace(cfg, **{key: _parse_key(key, getattr(args, key))})
         for spec in args.edges:
             if "=" not in spec:
                 raise ConfigError(f"--edges expects NET=PATH, got {spec!r}")

@@ -20,6 +20,7 @@ and a node fails when its received load strictly exceeds its free space.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +184,9 @@ def write_edge_list(graph: Graph, path: str) -> None:
 def read_edge_list(path: str, node_count: int) -> Graph:
     """Read "u v" lines (blank lines and # comments skipped). Every node id
     must lie in [0, node_count)."""
-    data = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    with warnings.catch_warnings():  # no data is an empty graph, handled below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, dtype=np.int64, ndmin=2)
     if data.size == 0:
         data = np.empty((0, 2), np.int64)
     bad = (data.shape[1] != 2) | ((data < 0) | (data >= node_count)).any(axis=1)

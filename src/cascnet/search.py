@@ -128,7 +128,6 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
                            cache: GraphCache | None = None,
                            max_steps: int = MC_MAX_STEPS) -> Callable[[float], bool]:
     """Majority-over-seeds breakdown predicate over the attack scale."""
-    counts = [c.node_count for c in cfgs]
     cache = cache or GraphCache(cfgs)
 
     def runner(scale: float) -> bool:
@@ -137,7 +136,7 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
         for s in seeds:
             out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
                          graphs=cache.graphs(s))
-            broke += _broken(out.final_fractions, counts)
+            broke += 0.0 in out.final_fractions  # fraction is count / N
         return 2 * broke > len(seeds)
 
     return runner

@@ -1,16 +1,19 @@
 """Config parsing, round-tripping, artifacts, and manifest reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cascnet
 
+import cascnet.cli
 from cascnet.cli import (ConfigError, RunConfig, emit_config, main,
                          parse_config)
 from cascnet.core import Complete, ErdosRenyi
@@ -115,6 +118,185 @@ class TestParse:
             parse_config(BASE + "compare = magic\n")
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("strategy", "fcc:abc"),             # non-numeric coefficient
+        ("compare", "sbd,fcc:2:0"),          # coefficient outside [0, 1]
+        ("strategy", "fcc:0.1:0.2:0.3"),     # more than alpha and beta
+        ("compare", "swo:0.2"),              # swo and sbd take no arguments
+    ])
+    def test_strategy_entries_checked_at_parse_time(self, key, value):
+        text = BASE.replace("strategy = fcc\n", "") + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(text)
+
+    def test_nan_scalar_rejected(self):
+        with pytest.raises(ConfigError, match="'tol'"):
+            parse_config(BASE.replace("tol = 0.005", "tol = nan"))
+
+    @pytest.mark.parametrize("key", ["seed", "engine", "strategy", "tol"])
+    def test_empty_scalar_value_rejected(self, key):
+        text = "\n".join(line for line in BASE.splitlines()
+                         if not line.startswith(key + " ")) + f"\n{key} =\n"
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(text)
+
+    def test_empty_tuple_value_keeps_default(self):
+        cfg = parse_config(BASE.replace("attack = 0.5,0", "attack =") + "compare =\n")
+        assert cfg.attack == () and cfg.compare == RunConfig().compare
+
+
+def _docstring_example() -> str:
+    body = cascnet.cli.__doc__.split("no nesting):\n\n", 1)[1].split("\n\n", 1)[0]
+    return "\n".join(line[4:] for line in body.splitlines()) + "\n"
+
+
+# emit_config's text as of the table-driven schema's introduction; the
+# manifest's config_sha256 hashes it, so it must not change for these inputs.
+EMITTED = {
+    "docstring": """\
+engine = meanfield
+networks = 2
+net0.nodes = 1000000
+net0.load = point(75.0)
+net0.space = uniform(20.0,180.0)
+net0.topology = complete
+net1.nodes = 1000000
+net1.load = point(75.0)
+net1.space = uniform(40.0,280.0)
+net1.topology = complete
+strategy = swo
+fcc.alpha = 0.65
+fcc.beta = 0.65
+swo.lo = 0.0
+swo.hi = 1.0
+attack = 0.5,0.0
+attack_shape = 1.0,0.0
+attack_grid = 0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95
+compare = fcc:0.65:0.65,sbd,swo
+seed = 0
+seed_count = 100
+tol = 0.001
+resolution = 0.05
+clip_floor = 0.0
+max_steps = 100000
+""",
+    "forms": """\
+engine = montecarlo
+networks = 3
+net0.nodes = 49
+net0.load = shiftedexp(10.0,0.5)
+net0.space = uniform(0.0,100.0)
+net0.topology = er(4.0)
+net1.nodes = 49
+net1.load = uniform(10.0,30.0)
+net1.space = point(0.5)
+net1.topology = ba(3.0)
+net2.nodes = 49
+net2.load = point(20.0)
+net2.space = shiftedexp(0.0,2.0)
+net2.topology = edges(data/edges 2.txt)
+strategy = fcc:0.3
+fcc.alpha = 1.0
+fcc.beta = 0.0
+swo.lo = 0.2
+swo.hi = 0.8
+attack_grid = 0.0,0.1,0.2
+compare = fcc:0.25:1,sbd,swo
+seed = 7
+seed_count = 3
+tol = 0.0001
+resolution = 0.25
+clip_floor = 0.1
+max_steps = 50
+""",
+    "defaults": """\
+engine = meanfield
+networks = 1
+net0.nodes = 1000
+net0.load = point(75.0)
+net0.space = uniform(20.0,180.0)
+net0.topology = complete
+strategy = sbd
+fcc.alpha = 0.5
+fcc.beta = 0.5
+swo.lo = 0.0
+swo.hi = 1.0
+compare = sbd,swo
+seed = 0
+seed_count = 100
+tol = 0.001
+resolution = 0.05
+clip_floor = 0.0
+max_steps = 100000
+""",
+}
+
+SOURCES = {
+    "docstring": _docstring_example(),
+    "forms": """\
+engine = montecarlo
+networks = 3
+net0.nodes = 49
+net0.load = shiftedexp(10, 0.5)
+net0.space = uniform(0,1e2)
+net0.topology = er(4)
+net1.nodes = 49
+net1.load = uniform(10,30)
+net1.space = point(.5)
+net1.topology = ba(3)
+net2.nodes = 49
+net2.load = point(20)
+net2.space = shiftedexp(0,2)
+net2.topology = edges(data/edges 2.txt)
+strategy = fcc:0.3
+fcc.alpha = 1
+fcc.beta = 0
+swo.lo = 0.2
+swo.hi = 0.8
+attack_grid = 0:0.2:0.1
+compare = fcc:0.25:1,sbd,swo
+seed = 7
+seed_count = 3
+tol = 1e-4
+resolution = 0.25
+clip_floor = 0.1
+max_steps = 50
+""",
+    "defaults": """\
+networks = 1
+net0.nodes = 1000
+net0.load = point(75)
+net0.space = uniform(20,180)
+net0.topology = complete
+attack =
+attack_shape =
+attack_grid =
+compare =
+""",
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name", sorted(EMITTED))
+    def test_emitted_text_is_pinned(self, name):
+        cfg = parse_config(SOURCES[name])
+        assert emit_config(cfg) == EMITTED[name]
+        assert parse_config(EMITTED[name]) == cfg
+
+    def test_docstring_example_hash_is_pinned(self):
+        text = emit_config(parse_config(_docstring_example()))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "5a58e262752be6b993aeb92dcedf3fcf8862030deecfe3f40d087281b87feb8f"
+
+    def test_docstring_example_names_every_key(self):
+        keys = {line.split("=", 1)[0].strip()
+                for line in _docstring_example().splitlines()}
+        table = {f.metadata["key"] for f in fields(RunConfig)}
+        nets = {f"net{i}.{sub}" for i in range(2)
+                for sub in ("nodes", "load", "space", "topology")}
+        assert keys == table | nets
+
+
 def write_cfg(tmp_path, text=BASE, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -181,6 +363,29 @@ class TestCommands:
             assert rc == 0
         assert (tmp_path / "a" / "runs.csv").read_bytes() == \
                (tmp_path / "b" / "runs.csv").read_bytes()
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("heatmap", "--resolution", "0", "'resolution' must be >= 1e-06"),
+        ("heatmap", "--resolution", "-0.5", "'resolution' must be >= 1e-06"),
+        ("critical", "--tol", "0.7", "'tol' must be <= 0.5"),
+        ("meanfield", "--seed", "abc", "'seed'"),
+    ])
+    def test_override_checked_like_config_key(self, tmp_path, capsys, command,
+                                              flag, value, message):
+        rc = main([command, "--config", write_cfg(tmp_path),
+                   "--out-dir", str(tmp_path / "out"), flag, value])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "-inf:1:0.1", "nan:1:0.1",
+                                      "0:1:nan", "0:1:1e-300"])
+    def test_unbounded_attack_grid_returns_2(self, tmp_path, capsys, grid):
+        cfg = BASE.replace("attack_grid = 0.1,0.3,0.5", f"attack_grid = {grid}")
+        rc = main(["sweep", "--config", write_cfg(tmp_path, cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "'attack_grid'" in capsys.readouterr().err
 
     def test_config_error_returns_2(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, BASE + "mystery = 1\n")

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -627,11 +628,12 @@ class TestGraphs:
         for v in range(200):
             assert sorted(g2.neighbors(v).tolist()) == sorted(g.neighbors(v).tolist())
 
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
     def test_edge_list_of_comments_only_is_empty(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("# no edges\n\n# at all\n")
-        g = read_edge_list(str(path), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = read_edge_list(str(path), 3)
         assert g.indptr.tolist() == [0, 0, 0, 0]
         assert g.indices.size == 0 and g.indices.dtype == np.int64
 

@@ -73,6 +73,13 @@ class TestMontecarloRunner:
             make_meanfield_runner(identical_cfgs(), SBD(), (1.0, 0.0)), tol=1e-3)
         assert mc.value == pytest.approx(mf.value, abs=0.05)
 
+    def test_one_survivor_is_not_breakdown(self):
+        # 48 of 49 nodes attacked, free space too large for any cascade. The
+        # survivor's fraction 1/49 gives (1/49) * 49 < 1 in floating point.
+        cfgs = [NetworkConfig(i, 49, Point(1.0), Point(1e9)) for i in range(2)]
+        runner = make_montecarlo_runner(cfgs, SBD(), (48 / 49, 0.0), seeds=[0])
+        assert not runner(1.0)
+
 
 class TestSweep:
     def test_zero_attack_leaves_everything_alive(self):
