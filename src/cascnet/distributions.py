@@ -36,14 +36,6 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def support_min(self) -> float:
-        return self.lo
-
-    @property
-    def support_max(self) -> float:
-        return self.hi
-
     def sf_geq(self, x: float) -> float:
         """P[X >= x]; equals 1 - cdf(x) for continuous families."""
         return 1.0 - self.cdf(x)
@@ -71,14 +63,6 @@ class ShiftedExponential:
     def mean(self) -> float:
         return self.shift + 1.0 / self.rate
 
-    @property
-    def support_min(self) -> float:
-        return self.shift
-
-    @property
-    def support_max(self) -> float:
-        return math.inf
-
     def sf_geq(self, x: float) -> float:
         return 1.0 - self.cdf(x)
 
@@ -98,14 +82,6 @@ class Point:
         return 1.0 if x >= self.value else 0.0
 
     def mean(self) -> float:
-        return self.value
-
-    @property
-    def support_min(self) -> float:
-        return self.value
-
-    @property
-    def support_max(self) -> float:
         return self.value
 
     def sf_geq(self, x: float) -> float:

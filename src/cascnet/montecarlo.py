@@ -4,8 +4,8 @@ Two redistribution modes:
 
 * complete: every network is fully connected, so a step's inbound load is
   shared equally by all survivors of the receiving network. Survivors of a
-  network always carry the same cumulative extra load, so a step keeps one
-  shared load per network's survivors; dead nodes' `received` is not kept.
+  network always carry the same cumulative extra load, kept as one float per
+  network (`NodePopulation.shared`); no per-node `received` array is kept.
 * local: load moves along edges. One rule places every share: a dead node's
   share for network j splits equally over its live neighbors in j's graph,
   plus, for an out-net share, the live node with the same index in j. A
@@ -58,11 +58,13 @@ class Graph:
 
 @dataclass
 class NodePopulation:
+    """One network's nodes and the cumulative extra load they carry."""
     load: np.ndarray
     space: np.ndarray
     alive: np.ndarray
-    received: np.ndarray
+    received: np.ndarray | None = None  # per node; None in a complete-graph run
     graph: Graph | None = None  # None: fully connected
+    shared: float = 0.0  # every survivor's load in a complete-graph run
 
     @property
     def alive_count(self) -> int:
@@ -204,13 +206,12 @@ def read_edge_list(path: str, node_count: int) -> Graph:
 
 def sample_population(cfg: NetworkConfig, rng: np.random.Generator,
                       graph: Graph | None = None) -> NodePopulation:
-    """Fresh loads and free spaces on `graph` (None: fully connected)."""
+    """Fresh loads and free spaces on `graph` (None: fully connected, no `received`)."""
     n = cfg.node_count
     load = dist_sample(cfg.load_dist, n, rng)
     space = dist_sample(cfg.space_dist, n, rng)
-    return NodePopulation(load=load, space=space,
-                          alive=np.ones(n, dtype=bool),
-                          received=np.zeros(n), graph=graph)
+    return NodePopulation(load=load, space=space, alive=np.ones(n, dtype=bool),
+                          received=None if graph is None else np.zeros(n), graph=graph)
 
 
 def apply_attack(pop: NodePopulation, p: float, rng: np.random.Generator,
@@ -236,10 +237,7 @@ def mc_step_complete(pops: list[NodePopulation], pools: list[float],
     """One synchronous redistribution step; mutates populations in place and
     returns the next-step pools.
 
-    Every survivor of a network carries the same cumulative load, read from
-    its first survivor and written to the whole `received` array: a dead
-    node's entry is not kept. Nothing reads it in complete mode, since
-    `mc_run` steps with `mc_step_local` whenever any network has a graph."""
+    Every survivor of a network carries the same cumulative load, `shared`."""
     live = [p.alive_count > 0 for p in pops]
     for i, pool in enumerate(pools):
         if pool < 0:
@@ -252,10 +250,10 @@ def mc_step_complete(pops: list[NodePopulation], pools: list[float],
             continue
         if recv[k] == 0.0:
             continue
-        q_new = pop.received[pop.alive.argmax()] + recv[k] / pop.alive_count
+        q_new = pop.shared + recv[k] / pop.alive_count
         newly = np.flatnonzero(pop.alive & (pop.space < q_new))
         pop.alive[newly] = False
-        pop.received.fill(q_new)
+        pop.shared = q_new
         next_pools[k] = float(pop.load[newly].sum()) + newly.size * q_new
     return next_pools
 
@@ -351,16 +349,21 @@ def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
 # Full runs
 # ---------------------------------------------------------------------------
 
+def _q_cum(pop: NodePopulation) -> float:
+    """Survivors' mean cumulative extra load; at least one node must survive."""
+    return pop.shared if pop.received is None else float(pop.received.compress(pop.alive).mean())
+
+
 def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
                      pops: list[NodePopulation], pools: list[float],
                      with_q_cum: bool) -> list[NetView]:
-    """Views for `decide`; q_cum (an N-wide mean, read by SWO only) is 0 unless asked."""
+    """Views for `decide`; q_cum (read by SWO only) is 0 unless asked."""
     views = []
     for i, (cfg, pop) in enumerate(zip(cfgs, pops)):
         count = pop.alive_count
-        q_cum = float(pop.received.compress(pop.alive).mean()) if count and with_q_cum else 0.0
         views.append(NetView(
-            n_alive=float(count), pool=pools[i], q_cum=q_cum, q_step=0.0,
+            n_alive=float(count), pool=pools[i],
+            q_cum=_q_cum(pop) if count and with_q_cum else 0.0, q_step=0.0,
             frac_failed=1.0 - count / cfg.node_count, attack_frac=attack.p[i],
             node_count=cfg.node_count, load_mean=dist_mean(cfg.load_dist),
             space_dist=cfg.space_dist,
@@ -374,7 +377,7 @@ def _record(traj: list[MeanFieldState], t: int, cfgs, pops, pools) -> None:
         count = pop.alive_count
         f.append(1.0 - count / cfg.node_count)
         n_alive.append(float(count))
-        q_cum.append(float(pop.received.compress(pop.alive).mean()) if count else 0.0)
+        q_cum.append(_q_cum(pop) if count else 0.0)
     prev_q = traj[-1].q_cum if traj else (0.0,) * len(cfgs)
     traj.append(MeanFieldState(t, tuple(f), tuple(n_alive), tuple(pools),
                                tuple(q - pq for q, pq in zip(q_cum, prev_q)),
@@ -409,7 +412,10 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
     dead0, pools = [], []
     for pop, p in zip(pops, attack.p):
         victims, pool = apply_attack(pop, p, rng)
-        dead0.append(np.sort(victims))
+        if local_mode:  # a fully connected network beside a graph also steps node by node
+            dead0.append(np.sort(victims))
+            if pop.received is None:
+                pop.received = np.zeros(pop.load.size)
         pools.append(pool)
 
     trajectory: list[MeanFieldState] | None = [] if record_trajectory else None

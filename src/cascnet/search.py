@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AttackSpec, Complete, CouplingMatrix, NetworkConfig
-from .meanfield import DEFAULT_MAX_STEPS as MF_MAX_STEPS, mf_run
+from .meanfield import DEFAULT_MAX_STEPS as MF_MAX_STEPS, Outcome, mf_run
 from .montecarlo import (DEFAULT_MAX_STEPS as MC_MAX_STEPS, generate_graph,
                          graph_seed, mc_run)
 from .strategies import FCC, CouplingStrategy
@@ -90,6 +90,12 @@ def _broken(fractions: Sequence[float], node_counts: Sequence[int]) -> bool:
     return any(f * n < 1.0 for f, n in zip(fractions, node_counts))
 
 
+def _unsettled(scale: float, max_steps: int) -> SearchError:
+    """A cut-off run has no verdict unless a network is empty (counts never rise)."""
+    return SearchError(f"a run at attack scale {scale!r} reached max_steps = {max_steps} "
+                       "with no network empty yet, so its breakdown is unknown")
+
+
 def make_meanfield_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
                           attack_shape: Sequence[float],
                           max_steps: int = MF_MAX_STEPS) -> Callable[[float], bool]:
@@ -99,7 +105,10 @@ def make_meanfield_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
     def runner(scale: float) -> bool:
         attack = AttackSpec(tuple(scale * s for s in attack_shape))
         traj = mf_run(cfgs, attack, strategy, max_steps=max_steps)
-        return _broken(traj.final_fractions, counts)
+        broken = _broken(traj.final_fractions, counts)
+        if traj.outcome == Outcome.NON_CONVERGED and not broken:
+            raise _unsettled(scale, max_steps)
+        return broken
 
     return runner
 
@@ -128,6 +137,8 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
                            cache: GraphCache | None = None,
                            max_steps: int = MC_MAX_STEPS) -> Callable[[float], bool]:
     """Majority-over-seeds breakdown predicate over the attack scale."""
+    if not seeds:
+        raise SearchError("the Monte-Carlo runner needs at least one seed")
     cache = cache or GraphCache(cfgs)
 
     def runner(scale: float) -> bool:
@@ -136,7 +147,10 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
         for s in seeds:
             out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
                          graphs=cache.graphs(s))
-            broke += 0.0 in out.final_fractions  # fraction is count / N
+            broken = 0.0 in out.final_fractions  # fraction is count / N
+            if out.non_converged and not broken:
+                raise _unsettled(scale, max_steps)
+            broke += broken
         return 2 * broke > len(seeds)
 
     return runner

@@ -226,7 +226,7 @@ def test_criterion_7_property_suite():
     pools = [apply_attack(p, frac, rng)[1]
              for p, frac in zip(pops, (0.45, 0.0))]
     for _ in range(100):
-        held = sum(float(p.load[p.alive].sum()) + float(p.received[p.alive].sum())
+        held = sum(float(p.load[p.alive].sum()) + p.alive_count * p.shared
                    for p in pops) + sum(pools)
         assert abs(held - total) <= 1e-6 * total
         if all(pl <= 0 for pl in pools):

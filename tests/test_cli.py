@@ -449,18 +449,20 @@ class TestCommands:
         assert set(a["edge_list_sha256"]) == {str(tmp_path / "edges.txt")}
 
 
-@pytest.mark.parametrize("command,engine,extra", [
-    ("critical", "meanfield", ""),
-    ("critical", "montecarlo", ""),
-    ("sweep", "meanfield", ""),
-    ("sweep", "montecarlo", ""),
-    ("heatmap", "meanfield", "resolution = 0.5\n"),
-    ("compare", "meanfield", "compare = sbd,swo\n"),
-    ("compare", "montecarlo", "compare = sbd\n"),
+# Three steps settle no bisection probe here, so each bisection stops with
+# exit 2 (see `test_cut_off_bisection_returns_2`); the sweeps finish.
+@pytest.mark.parametrize("command,engine,extra,want_rc", [
+    ("critical", "meanfield", "", 2),
+    ("critical", "montecarlo", "", 2),
+    ("sweep", "meanfield", "", 0),
+    ("sweep", "montecarlo", "", 0),
+    ("heatmap", "meanfield", "resolution = 0.5\n", 2),
+    ("compare", "meanfield", "compare = sbd,swo\n", 2),
+    ("compare", "montecarlo", "compare = sbd\n", 2),
 ], ids=["critical-mf", "critical-mc", "sweep-mf", "sweep-mc", "heatmap-mf",
         "compare-mf", "compare-mc"])
 def test_max_steps_reaches_every_engine_run(tmp_path, monkeypatch, command,
-                                            engine, extra):
+                                            engine, extra, want_rc):
     import cascnet.search as search
     seen = []
 
@@ -476,8 +478,22 @@ def test_max_steps_reaches_every_engine_run(tmp_path, monkeypatch, command,
            .replace("1000000", "2000") + "max_steps = 3\n" + extra)
     rc = main([command, "--config", write_cfg(tmp_path, cfg),
                "--out-dir", str(tmp_path / "out"), "--tol", "0.1"])
-    assert rc == 0
+    assert rc == want_rc
     assert seen and set(seen) == {3}
+
+
+@pytest.mark.parametrize("engine", ["meanfield", "montecarlo"])
+def test_cut_off_bisection_returns_2(tmp_path, capsys, engine):
+    # SBD on the non-identical pair, attack on network 0: at the default cap
+    # the mean-field critical size is 0.79150390625; three steps settle no probe.
+    cfg = (BASE.replace("engine = meanfield", f"engine = {engine}")
+           .replace("1000000", "20000").replace("strategy = fcc", "strategy = sbd")
+           .replace("attack_shape = 0,1", "attack_shape = 1,0") + "max_steps = 3\n")
+    out = tmp_path / "out"
+    rc = main(["critical", "--config", write_cfg(tmp_path, cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert "max_steps = 3" in capsys.readouterr().err
+    assert not (out / "critical.csv").exists()
 
 
 def test_emit_config_is_parseable_from_defaults():

@@ -1,6 +1,7 @@
 """Node-level simulation: hand-traced cascades, conservation, graphs."""
 
 import copy
+import hashlib
 import math
 import warnings
 
@@ -24,6 +25,13 @@ from cascnet.strategies import FCC, SBD, SWO, StrategyError, decide
 def complete_graph(n: int) -> Graph:
     i, j = np.triu_indices(n, k=1)
     return _edges_to_csr(n, i.astype(np.int64), j.astype(np.int64))
+
+
+def held_extra(pop: NodePopulation) -> float:
+    """Cumulative extra load held by a network's survivors."""
+    if pop.received is None:  # complete graph: one shared load
+        return pop.alive_count * pop.shared
+    return float(pop.received[pop.alive].sum())
 
 
 class TestHandTraced:
@@ -73,8 +81,7 @@ class TestLoadConservation:
             newly_dead.append(np.sort(victims))
             pools.append(pool)
         for _ in range(steps):
-            held = sum(float(pop.load[pop.alive].sum())
-                       + float(pop.received[pop.alive].sum())
+            held = sum(float(pop.load[pop.alive].sum()) + held_extra(pop)
                        for pop in pops) + sum(pools)
             assert held == pytest.approx(total, rel=1e-9)
             if all(pl <= 0 for pl in pools) or all(p.alive_count == 0 for p in pops):
@@ -307,11 +314,10 @@ def reference_step_complete(pops, pools, coupling):
         if recv[k] == 0.0:
             continue
         count = pop.alive_count
-        q_prev = pop.received[pop.alive][0] if count else 0.0
         inc = recv[k] / count
-        q_new = q_prev + inc
+        q_new = pop.shared + inc
         newly = pop.alive & (pop.space < q_new)
-        pop.received[pop.alive] = q_new
+        pop.shared = q_new
         pop.alive &= ~newly
         n_dead = int(np.count_nonzero(newly))
         next_pools[k] = float(pop.load[newly].sum()) + n_dead * q_new
@@ -320,7 +326,7 @@ def reference_step_complete(pops, pools, coupling):
 
 class TestCompleteStepOracle:
     """Cascades from random complete-graph states: survivors of a network
-    share one cumulative load, dead nodes hold arbitrary stale values."""
+    share one cumulative load, `shared`."""
 
     N = 400
     # Point, Uniform and ShiftedExponential loads over both free-space laws.
@@ -332,25 +338,23 @@ class TestCompleteStepOracle:
         NetworkConfig(0, N, Point(60.0), ShiftedExponential(20.0, 1 / 120.0)),
         NetworkConfig(1, N, Uniform(40, 80), ShiftedExponential(20.0, 1 / 120.0))]
 
-    def _state(self, rng, cfgs, dead_frac, empty=(), idle=(), shared=True):
+    def _state(self, rng, cfgs, dead_frac, empty=(), idle=()):
         pops, pools = [], []
         for k, cfg in enumerate(cfgs):
             pop = sample_population(cfg, rng)
             pop.alive[:] = rng.random(self.N) >= dead_frac
             if k in empty:
                 pop.alive[:] = False
-            pop.received[:] = rng.uniform(0, 40, self.N)
-            if shared:
-                pop.received[pop.alive] = rng.uniform(0, 20)
+            pop.shared = float(rng.uniform(0, 20))
             pops.append(pop)
             pools.append(0.0 if k in idle else float(rng.uniform(0, 30 * self.N)))
         return pops, pools
 
-    def _compare(self, cfgs, strategy, dead_frac=0.3, empty=(), idle=(), shared=True):
+    def _compare(self, cfgs, strategy, dead_frac=0.3, empty=(), idle=()):
         attack = AttackSpec((0.0,) * len(cfgs))
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            pops, pools = self._state(rng, cfgs, dead_frac, empty, idle, shared)
+            pops, pools = self._state(rng, cfgs, dead_frac, empty, idle)
             ref_pops, ref_pools = copy.deepcopy(pops), list(pools)
             for t in range(100):
                 if all(pl <= 0 for pl in pools) or all(p.alive_count == 0 for p in pops):
@@ -362,7 +366,7 @@ class TestCompleteStepOracle:
                 assert pools == ref_pools
                 for p, q in zip(pops, ref_pops):
                     assert np.array_equal(p.alive, q.alive)
-                    assert np.array_equal(p.received[p.alive], q.received[q.alive])
+                    assert p.shared == q.shared and p.received is q.received is None
             else:
                 raise AssertionError("cascade did not settle")
 
@@ -392,10 +396,6 @@ class TestCompleteStepOracle:
             self._compare(self.UNIFORM_SPACE[:2], fcc)
             self._compare(self.EXPONENTIAL_SPACE, fcc)
 
-    def test_reads_first_survivor(self):
-        # Survivors holding different loads pin which one the step reads.
-        self._compare(self.UNIFORM_SPACE[:2], SBD(), shared=False)
-
     def test_free_space_equal_to_load_survives(self):
         # Every survivor reaches exactly its free space: none may fail.
         cfgs = [NetworkConfig(0, 10, Point(10.0), Point(50.0)),
@@ -404,30 +404,77 @@ class TestCompleteStepOracle:
             pops = [sample_population(c, np.random.default_rng(0)) for c in cfgs]
             for pop in pops:
                 pop.alive[:4] = False
-                pop.received[pop.alive] = 40.0
+                pop.shared = 40.0
             pools = step(pops, [60.0, 60.0], CouplingMatrix.two_net(1.0, 1.0))
             assert pools == [0.0, 0.0]
             assert all(p.alive_count == 6 for p in pops)
-            assert all(np.all(p.received[p.alive] == 50.0) for p in pops)
+            assert all(p.shared == 50.0 for p in pops)
 
 
 def test_survivor_mean_load_matches_mask_gather():
-    # Local-mode states: survivors hold different loads, so q_cum is a real mean.
+    # Local-mode states: survivors hold different loads, so q_cum is a real
+    # mean. A complete network beside them reports its shared load as is.
     n = 1000
     cfgs = [NetworkConfig(k, n, Point(75.0), Uniform(20, 180), ErdosRenyi(6.0))
-            for k in range(2)]
+            for k in range(2)] + [NetworkConfig(2, n, Point(75.0), Uniform(20, 180))]
     for seed in range(5):
         rng = np.random.default_rng(seed)
         pops = [sample_population(c, rng) for c in cfgs]
         for pop in pops:
             pop.alive[:] = rng.random(n) >= rng.uniform(0.05, 0.95)
-            pop.received[:] = rng.exponential(30.0, n)
-        want = [float(p.received[p.alive].mean()) for p in pops]
-        views = _empirical_views(cfgs, AttackSpec((0.3, 0.0)), pops, [1.0, 1.0], True)
+        for pop in pops[:2]:
+            pop.received = rng.exponential(30.0, n)
+        pops[2].shared = float(rng.exponential(30.0))
+        want = [float(p.received[p.alive].mean()) for p in pops[:2]] + [pops[2].shared]
+        views = _empirical_views(cfgs, AttackSpec((0.3, 0.0, 0.0)), pops, [1.0] * 3, True)
         traj = []
-        _record(traj, 0, cfgs, pops, [1.0, 1.0])
+        _record(traj, 0, cfgs, pops, [1.0] * 3)
         assert [v.q_cum for v in views] == want
         assert list(traj[0].q_cum) == want
+
+
+class TestCompleteRunsPinned:
+    """FCC and SBD complete-graph runs, pinned by value to the results of the
+    step that kept an N-wide `received` array per network: final fractions,
+    steps, and each recorded f, n_alive and pool. q_cum is left out; it was a
+    mean of N copies of the shared load and may differ in the last bits."""
+
+    def test_results_match_by_value(self):
+        nets = [NetworkConfig(0, 3000, Point(75.0), Uniform(20, 180)),
+                NetworkConfig(1, 3000, Uniform(50, 100), Uniform(40, 280)),
+                NetworkConfig(2, 2000, ShiftedExponential(30.0, 1 / 40.0),
+                              ShiftedExponential(20.0, 1 / 120.0))]
+        m3 = CouplingMatrix.from_array(np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3],
+                                                 [0.0, 0.4, 0.6]]))
+        # Zero attacks, partial cascades, breakdowns, and networks emptied by
+        # the attack, with the other networks surviving or not.
+        cases = ([(nets[:2], s, a) for s in (FCC(CouplingMatrix.two_net(0.6, 0.6)),
+                                             FCC(CouplingMatrix.two_net(1.0, 0.3)), SBD())
+                  for a in ((0.0, 0.0), (0.2, 0.1), (0.5, 0.2), (1.0, 0.0))]
+                 + [(nets, s, a) for s in (FCC(m3), SBD())
+                    for a in ((0.0, 0.0, 0.0), (0.25, 0.2, 0.1), (0.0, 1.0, 0.0),
+                              (0.1, 0.0, 1.0))])
+        h = hashlib.sha256()
+        for cfgs, strategy, attack in cases:
+            for seed in (0, 1):
+                out = mc_run(cfgs, AttackSpec(attack), strategy, seed=seed,
+                             record_trajectory=True)
+                h.update(repr((out.final_fractions, out.steps, out.breakdown,
+                               out.non_converged)).encode())
+                for s in out.trajectory:
+                    h.update(repr([s.t] + [float(x) for x in s.f + s.n_alive + s.total_extra])
+                             .encode())
+        assert h.hexdigest() == \
+            "a3b974a89691e2e8a13f7b5e9e32b374fd2c74c13fac6ac87b92cb54fd5f0fae"
+
+    def test_complete_network_beside_graph_steps_node_by_node(self):
+        # A fully connected network in a local-mode run gets a `received`
+        # array; values recorded before complete-graph runs dropped it.
+        cfgs = [NetworkConfig(0, 500, Point(75.0), Uniform(20, 180)),
+                NetworkConfig(1, 500, Point(75.0), Uniform(20, 180), ErdosRenyi(6.0))]
+        for nets, want in ((cfgs, ((0.7, 0.996), 2)), (cfgs[::-1], ((0.688, 1.0), 3))):
+            out = mc_run(nets, AttackSpec((0.3, 0.0)), SBD(), seed=2)
+            assert (out.final_fractions, out.steps) == want
 
 
 class TestFixedCouplingDecidedOnce:

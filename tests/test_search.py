@@ -81,6 +81,43 @@ class TestMontecarloRunner:
         assert not runner(1.0)
 
 
+class TestStepCap:
+    """A run cut off at `max_steps` while every network still has survivors
+    has no verdict, so a bisection stops instead of reading it as survival."""
+
+    NONIDENTICAL = [NetworkConfig(0, 20000, Point(75.0), Uniform(20, 180)),
+                    NetworkConfig(1, 20000, Point(75.0), Uniform(40, 280))]
+
+    def _runners(self, max_steps):
+        return [make_meanfield_runner(self.NONIDENTICAL, SBD(), (1.0, 0.0), max_steps),
+                make_montecarlo_runner(self.NONIDENTICAL, SBD(), (1.0, 0.0), [0, 1, 2],
+                                       max_steps=max_steps)]
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 3])
+    def test_cut_off_run_raises_naming_scale_and_cap(self, max_steps):
+        for runner in self._runners(max_steps):
+            with pytest.raises(SearchError, match=rf"scale 0\.5 .*max_steps = {max_steps}\b"):
+                critical_attack_size(runner, tol=1e-3)
+
+    def test_cut_off_run_with_an_empty_network_is_broken(self):
+        # The full attack empties network 0: survivor counts never rise again.
+        for runner in self._runners(1):
+            assert runner(1.0)
+
+    def test_default_cap_settles(self):
+        mf, mc = (critical_attack_size(r, tol=1e-3) for r in self._runners(10 ** 6))
+        assert mf.value == 0.79150390625
+        assert mc.value == pytest.approx(mf.value, abs=0.02)
+
+
+def test_empty_seed_batch_rejected():
+    cfgs = TestMontecarloRunner.CFGS
+    with pytest.raises(SearchError, match="at least one seed"):
+        make_montecarlo_runner(cfgs, SBD(), (1.0, 0.0), seeds=[])
+    with pytest.raises(SearchError, match="at least one seed"):
+        fcc_grid_sweep(cfgs, resolution=0.5, seeds=[])
+
+
 class TestSweep:
     def test_zero_attack_leaves_everything_alive(self):
         cfgs = [NetworkConfig(0, 500, Point(75.0), Uniform(20, 180)),
