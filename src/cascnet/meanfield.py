@@ -194,15 +194,6 @@ def mf_step(prev: MeanFieldState, coupling: CouplingMatrix,
                            *_failure_phase(_constants(cfgs, attack), prev), coupling)
 
 
-def _views(nets, attack: AttackSpec, f, n_alive, pools, q_cum, q_step) -> list[NetView]:
-    return [
-        NetView(n_alive=na, pool=pool, q_cum=q, q_step=dq, frac_failed=fi,
-                attack_frac=p, node_count=count, load_mean=load, space_dist=space)
-        for (count, _, load, space), p, fi, na, pool, q, dq
-        in zip(nets, attack.p, f, n_alive, pools, q_cum, q_step)
-    ]
-
-
 def _check_monotone(prev: MeanFieldState, cur: MeanFieldState) -> None:
     for i in range(len(cur.f)):
         if cur.f[i] < prev.f[i] - 1e-12:
@@ -232,7 +223,7 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
         return (traj, decisions) if record_decisions else traj
 
     f, n_alive, pools = _attack_phase(nets, attack)
-    q_cum = q_step = zeros
+    q_cum = zeros
     dec = None
     for t in range(max_steps + 1):
         if t:
@@ -242,7 +233,11 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
                                         zeros, q_cum))
             return finish(Outcome.BREAKDOWN, t)
         if dec is None or not fixed:
-            dec = decide(strategy, _views(nets, attack, f, n_alive, pools, q_cum, q_step), t)
+            views = [NetView(n_alive=na, pool=pool, q_cum=q, attack_frac=p, node_count=count,
+                             load_mean=load, space_dist=space)
+                     for (count, _, load, space), p, na, pool, q
+                     in zip(nets, attack.p, n_alive, pools, q_cum)]
+            dec = decide(strategy, views, t)
         decisions.append(dec)
         new = _coupling_phase(q_cum, t, f, n_alive, pools, dec.matrix)
         steps.append(new)
@@ -255,7 +250,7 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
                     if na < 1.0):
                 no_new_failures = all(fi <= p + 1e-15 for fi, p in zip(new.f, attack.p))
                 return finish(Outcome.NO_CASCADE if no_new_failures else Outcome.SURVIVED, t)
-        state, q_cum, q_step = new, new.q_cum, new.q_step
+        state, q_cum = new, new.q_cum
     return finish(Outcome.NON_CONVERGED, max_steps)
 
 

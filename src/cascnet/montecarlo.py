@@ -363,8 +363,7 @@ def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
         count = pop.alive_count
         views.append(NetView(
             n_alive=float(count), pool=pools[i],
-            q_cum=_q_cum(pop) if count and with_q_cum else 0.0, q_step=0.0,
-            frac_failed=1.0 - count / cfg.node_count, attack_frac=attack.p[i],
+            q_cum=_q_cum(pop) if count and with_q_cum else 0.0, attack_frac=attack.p[i],
             node_count=cfg.node_count, load_mean=dist_mean(cfg.load_dist),
             space_dist=cfg.space_dist,
         ))

@@ -91,9 +91,9 @@ def _broken(fractions: Sequence[float], node_counts: Sequence[int]) -> bool:
 
 
 def _unsettled(scale: float, max_steps: int) -> SearchError:
-    """A cut-off run has no verdict unless a network is empty (counts never rise)."""
+    """A cut-off run has no final portion, and no verdict unless a network is empty."""
     return SearchError(f"a run at attack scale {scale!r} reached max_steps = {max_steps} "
-                       "with no network empty yet, so its breakdown is unknown")
+                       "with load still in flight, so its outcome is unknown")
 
 
 def make_meanfield_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
@@ -192,7 +192,9 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
     attack size, over a seed batch (default 100 seeds)."""
     if any(not (0.0 <= g <= 1.0) for g in grid):
         raise SearchError("attack grid must lie in [0, 1]")
-    seeds = range(DEFAULT_SEEDS) if seeds is None else seeds
+    seeds = list(range(DEFAULT_SEEDS) if seeds is None else seeds)
+    if not seeds:
+        raise SearchError("the attack sweep needs at least one seed")
     cache = cache or GraphCache(cfgs)
     counts = np.array([c.node_count for c in cfgs], dtype=float)
     means, stds = [], []
@@ -202,10 +204,12 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
         for s in seeds:
             out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
                          graphs=cache.graphs(s))
+            if out.non_converged:
+                raise _unsettled(g, max_steps)
             portions.append(float(np.dot(out.final_fractions, counts) / counts.sum()))
         means.append(float(np.mean(portions)))
         stds.append(float(np.std(portions)))
-    return SweepResult(tuple(grid), tuple(means), tuple(stds), len(list(seeds)))
+    return SweepResult(tuple(grid), tuple(means), tuple(stds), len(seeds))
 
 
 def meanfield_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
@@ -214,9 +218,14 @@ def meanfield_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
     """Final surviving portion of the whole system per attack size, from one
     deterministic mean-field run per point (spread 0, n_runs 1)."""
     counts = tuple(c.node_count for c in cfgs)
-    means = tuple(mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strategy,
-                         max_steps=max_steps).surviving_portion(counts) for g in grid)
-    return SweepResult(tuple(grid), means, (0.0,) * len(means), 1)
+    means = []
+    for g in grid:
+        traj = mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strategy,
+                      max_steps=max_steps)
+        if traj.outcome == Outcome.NON_CONVERGED:
+            raise _unsettled(g, max_steps)
+        means.append(traj.surviving_portion(counts))
+    return SweepResult(tuple(grid), tuple(means), (0.0,) * len(means), 1)
 
 
 def _grid(resolution: float) -> tuple[float, ...]:

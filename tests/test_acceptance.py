@@ -193,8 +193,7 @@ def test_criterion_7_property_suite():
         lo, width = rng.uniform(0, 50), rng.uniform(50, 300)
         from cascnet.strategies import NetView
         return NetView(n_alive=(1 - p) * sf * 1e6, pool=rng.uniform(0, 5e7),
-                       q_cum=lo + (1 - sf) * width, q_step=0.0,
-                       frac_failed=1 - (1 - p) * sf, attack_frac=p,
+                       q_cum=lo + (1 - sf) * width, attack_frac=p,
                        node_count=1e6, load_mean=75.0,
                        space_dist=Uniform(lo, lo + width))
 

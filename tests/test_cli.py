@@ -449,13 +449,13 @@ class TestCommands:
         assert set(a["edge_list_sha256"]) == {str(tmp_path / "edges.txt")}
 
 
-# Three steps settle no bisection probe here, so each bisection stops with
-# exit 2 (see `test_cut_off_bisection_returns_2`); the sweeps finish.
+# Three steps settle no run here, so every bisection and every sweep stops
+# with exit 2 (see `test_cut_off_bisection_returns_2`).
 @pytest.mark.parametrize("command,engine,extra,want_rc", [
     ("critical", "meanfield", "", 2),
     ("critical", "montecarlo", "", 2),
-    ("sweep", "meanfield", "", 0),
-    ("sweep", "montecarlo", "", 0),
+    ("sweep", "meanfield", "", 2),
+    ("sweep", "montecarlo", "", 2),
     ("heatmap", "meanfield", "resolution = 0.5\n", 2),
     ("compare", "meanfield", "compare = sbd,swo\n", 2),
     ("compare", "montecarlo", "compare = sbd\n", 2),

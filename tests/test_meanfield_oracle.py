@@ -90,11 +90,11 @@ def _coupling_phase(prev: MeanFieldState, t: int, f, n_alive, pools,
                           tuple(q_step), tuple(q_cum))
 
 
-def _views(f, n_alive, pools, q_cum, q_step, cfgs, attack) -> list[NetView]:
+def _views(n_alive, pools, q_cum, cfgs, attack) -> list[NetView]:
     return [
         NetView(
-            n_alive=n_alive[i], pool=pools[i], q_cum=q_cum[i], q_step=q_step[i],
-            frac_failed=f[i], attack_frac=attack.p[i], node_count=cfgs[i].node_count,
+            n_alive=n_alive[i], pool=pools[i], q_cum=q_cum[i],
+            attack_frac=attack.p[i], node_count=cfgs[i].node_count,
             load_mean=dist_mean(cfgs[i].load_dist), space_dist=cfgs[i].space_dist,
         )
         for i in range(len(cfgs))
@@ -137,7 +137,7 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
     if all(na < 1.0 for na in n0):
         return finish([base], Outcome.BREAKDOWN, 0)
 
-    dec0 = decide(strategy, _views(f0, n0, pool0, [0.0] * n, [0.0] * n, cfgs, attack), 0)
+    dec0 = decide(strategy, _views(n0, pool0, [0.0] * n, cfgs, attack), 0)
     decisions.append(dec0)
     state = _coupling_phase(base, 0, f0, n0, pool0, dec0.matrix)
     steps = [state]
@@ -149,8 +149,7 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
                                       (0.0,) * n, state.q_cum)
             steps.append(terminal)
             return finish(steps, Outcome.BREAKDOWN, t)
-        dec = decide(strategy, _views(f, n_alive, pools, state.q_cum,
-                                      state.q_step, cfgs, attack), t)
+        dec = decide(strategy, _views(n_alive, pools, state.q_cum, cfgs, attack), t)
         decisions.append(dec)
         new = _coupling_phase(state, t, f, n_alive, pools, dec.matrix)
         _check_monotone(state, new)

@@ -11,7 +11,7 @@ from cascnet.search import (CriticalResult, GraphCache, HeatmapResult,
                             compare_strategies, critical_attack_size,
                             fcc_grid_sweep, heatmap_to_csv,
                             make_meanfield_runner, make_montecarlo_runner,
-                            sweep_to_csv)
+                            meanfield_sweep, sweep_to_csv)
 from cascnet.strategies import FCC, SBD
 
 N = 10 ** 6
@@ -99,6 +99,16 @@ class TestStepCap:
             with pytest.raises(SearchError, match=rf"scale 0\.5 .*max_steps = {max_steps}\b"):
                 critical_attack_size(runner, tol=1e-3)
 
+    @pytest.mark.parametrize("max_steps", [1, 3])
+    def test_cut_off_sweep_raises_naming_scale_and_cap(self, max_steps):
+        # A sweep reports final surviving portions, which a cut-off run lacks.
+        sweeps = [lambda: meanfield_sweep(self.NONIDENTICAL, SBD(), [0.7], (1.0, 0.0), max_steps),
+                  lambda: attack_sweep(self.NONIDENTICAL, SBD(), [0.7], (1.0, 0.0), [0, 1],
+                                       max_steps=max_steps)]
+        for sweep in sweeps:
+            with pytest.raises(SearchError, match=rf"scale 0\.7 .*max_steps = {max_steps}\b"):
+                sweep()
+
     def test_cut_off_run_with_an_empty_network_is_broken(self):
         # The full attack empties network 0: survivor counts never rise again.
         for runner in self._runners(1):
@@ -116,6 +126,14 @@ def test_empty_seed_batch_rejected():
         make_montecarlo_runner(cfgs, SBD(), (1.0, 0.0), seeds=[])
     with pytest.raises(SearchError, match="at least one seed"):
         fcc_grid_sweep(cfgs, resolution=0.5, seeds=[])
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_seed_sweep_rejected_before_any_run(monkeypatch):
+    import cascnet.search as search
+    monkeypatch.setattr(search, "mc_run", lambda *a, **k: pytest.fail("mc_run was called"))
+    with pytest.raises(SearchError, match="at least one seed"):
+        attack_sweep(TestMontecarloRunner.CFGS, SBD(), [0.2, 0.5], seeds=[])
 
 
 class TestSweep:

@@ -13,9 +13,7 @@ from cascnet.strategies import (FCC, SBD, SWO, NetView, StrategyError,
 
 def make_view(n_alive=5e5, pool=1e7, q_cum=10.0, attack_frac=0.3,
               node_count=1e6, load_mean=75.0, space=Uniform(20, 180)):
-    frac_failed = 1.0 - n_alive / node_count
-    return NetView(n_alive=n_alive, pool=pool, q_cum=q_cum, q_step=0.0,
-                   frac_failed=frac_failed, attack_frac=attack_frac,
+    return NetView(n_alive=n_alive, pool=pool, q_cum=q_cum, attack_frac=attack_frac,
                    node_count=node_count, load_mean=load_mean, space_dist=space)
 
 
@@ -440,3 +438,122 @@ class TestWaterFilling:
         with pytest.raises(StrategyError):
             decide(strategy, views, 1)
         assert decide(SWO(bounds=((0.1, 0.9),)), views, 1).matrix.n == 3
+
+
+# One SWO decision per solver branch, pinned exactly: a two-network entry is
+# the whole matrix, a three-or-more entry the row every network shares.
+PINNED_DECISIONS = [
+    ("box_interior",
+     [make_view(n_alive=4.1e5, pool=1.7e7, q_cum=35.0),
+      make_view(n_alive=3.6e5, pool=6.0e6, q_cum=40.0, attack_frac=0.2)],
+     ((0.0, 1.0),),
+     ((0.6477484066450738, 0.3522515933549262), (1.0, 0.0))),
+    ("box_interior_beta",
+     [make_view(n_alive=4.1e5, pool=1.7e7, q_cum=35.0),
+      make_view(n_alive=5.6e5, pool=6.0e6, q_cum=40.0, attack_frac=0.2, space=Uniform(25, 200))],
+     ((0.0, 1.0),),
+     ((0.0, 1.0), (0.8939082883941123, 0.1060917116058877))),
+    ("box_at_bound",
+     [make_view(n_alive=4.1e5, pool=1.7e7, q_cum=35.0, attack_frac=0.3),
+      make_view(n_alive=2.3e5, pool=6.0e6, q_cum=52.5, attack_frac=0.1, space=Uniform(30, 230))],
+     ((0.0, 0.2),),
+     ((0.2, 0.8), (1.0, 0.0))),
+    ("box_per_network_bounds",
+     [make_view(n_alive=3.3e5, pool=2.9e7, q_cum=61.0, space=Uniform(10, 150)),
+      make_view(n_alive=6.2e5, pool=4.0e6, q_cum=22.0, attack_frac=0.2)],
+     ((0.1, 0.8), (0.2, 0.9)),
+     ((0.1, 0.9), (0.09999999999999998, 0.9))),
+    ("zoom_interior",
+     [make_view(n_alive=3.9e5, pool=2.2e7, q_cum=48.0, space=ShiftedExponential(10.0, 0.005)),
+      make_view(n_alive=3.6e5, pool=9.0e6, q_cum=55.0, attack_frac=0.2,
+                space=ShiftedExponential(15.0, 0.004))],
+     ((0.0, 1.0),),
+     ((0.10084588068181818, 0.8991541193181818), (1.0, 0.0))),
+    ("zoom_at_bound",
+     [make_view(n_alive=3.9e5, pool=2.2e7, q_cum=48.0, space=ShiftedExponential(10.0, 0.02)),
+      make_view(n_alive=1.6e5, pool=9.0e6, q_cum=95.0, attack_frac=0.4,
+                space=ShiftedExponential(25.0, 0.011))],
+     ((0.0, 1.0),),
+     ((0.0, 1.0), (0.0, 1.0))),
+    ("zoom_mixed",
+     [make_view(n_alive=3.9e5, pool=2.2e7, q_cum=48.0, space=ShiftedExponential(10.0, 0.02)),
+      make_view(n_alive=2.3e5, pool=6.0e6, q_cum=52.5, space=Uniform(30, 230))],
+     ((0.05, 0.95),),
+     ((0.9499999999999998, 0.050000000000000155), (0.95, 0.050000000000000044))),
+    ("multinet_3",
+     [make_view(n_alive=4.1e5, pool=1.7e7, q_cum=35.0),
+      make_view(n_alive=2.3e5, pool=6.0e6, q_cum=52.5, space=Uniform(30, 230)),
+      make_view(n_alive=5.5e5, pool=1.1e7, q_cum=28.0, attack_frac=0.15, space=Uniform(15, 120))],
+     ((0.0, 1.0),),
+     (0.5741663829532934, 0.05550303924042794, 0.37033057780627876)),
+    ("multinet_5",
+     [make_view(n_alive=4.1e5, pool=1.7e7, q_cum=35.0),
+      make_view(n_alive=2.3e5, pool=6.0e6, q_cum=52.5, space=Uniform(30, 230)),
+      make_view(n_alive=5.5e5, pool=1.1e7, q_cum=28.0, attack_frac=0.15, space=Uniform(15, 120)),
+      make_view(n_alive=1.2e5, pool=3.1e7, q_cum=90.0, attack_frac=0.5, space=Uniform(40, 280)),
+      make_view(n_alive=7.0e5, pool=2.0e6, q_cum=21.0, attack_frac=0.05)],
+     ((0.05, 0.9),),
+     (0.18785539928949102, 0.05, 0.08725910947121161, 0.05, 0.6248854912392974)),
+    ("dead_network",
+     [make_view(n_alive=0.0, pool=7.5e6, q_cum=0.0, attack_frac=1.0, node_count=1e5),
+      make_view(n_alive=7e4, pool=2.25e6, q_cum=0.0, node_count=1e5, space=Uniform(40, 280)),
+      make_view(n_alive=7e4, pool=2.25e6, q_cum=0.0, node_count=1e5, space=Uniform(30, 230))],
+     ((0.05, 0.9),),
+     (0.05, 0.5380681818181818, 0.41193181818181823)),
+    ("dead_network_two_net",
+     [make_view(n_alive=0.0, pool=7.5e6, q_cum=0.0, attack_frac=1.0, node_count=1e5),
+      make_view(n_alive=7e4, pool=2.25e6, q_cum=0.0, node_count=1e5, space=Uniform(40, 280))],
+     ((0.05, 0.9),),
+     ((0.05, 0.95), (0.09999999999999998, 0.9))),
+    ("q_cum_inf",
+     [make_view(n_alive=4.1e5, pool=1.7e7, q_cum=35.0),
+      make_view(n_alive=0.0, pool=3.0e6, q_cum=float("inf")),
+      make_view(n_alive=0.0, pool=0.0, q_cum=float("inf"))],
+     ((0.0, 0.6),),
+     (0.6, 0.4, 0.0)),
+    ("no_pool",
+     [make_view(n_alive=a, pool=0.0) for a in (1e5, 2e5, 7e5)],
+     ((0.2, 0.5),),
+     (0.2, 0.30000000000000004, 0.5)),
+    ("no_pool_two_net",
+     [make_view(n_alive=1e5, pool=0.0), make_view(n_alive=2e5, pool=0.0)],
+     ((0.3, 0.7), (0.1, 0.4)),
+     ((0.3, 0.7), (0.9, 0.1))),
+    ("zero_cost_tie",
+     [make_view(), make_view(q_cum=180.0), make_view(q_cum=180.0), make_view(q_cum=190.0)],
+     ((0.0, 0.6),),
+     (0.0, 0.6, 0.4, 0.0)),
+
+    ("zoom_grid_arithmetic",
+     [make_view(n_alive=47572.80277308121, pool=571.3022827404685, q_cum=22.41808647699554,
+                attack_frac=0.5145884725970752, node_count=100000, load_mean=60.0,
+                space=ShiftedExponential(20.0, 0.008333333333333333)),
+      make_view(n_alive=98005.09482666761, pool=1176.9442019589383, q_cum=22.41808647699554,
+                attack_frac=0.0, node_count=100000, load_mean=60.0,
+                space=ShiftedExponential(20.0, 0.008333333333333333))],
+     ((0.0, 1.0),),
+     ((0.0, 1.0), (0.4854185614220854, 0.5145814385779146))),
+    ("zoom_grid_endpoint",
+     [make_view(n_alive=832.8775393189522, pool=0.0, q_cum=174.74077797621203,
+                attack_frac=0.0, node_count=2000.0, load_mean=13.582735769796056,
+                space=Uniform(45.14032070593403, 267.22576869680313)),
+      make_view(n_alive=0.5941042843532633, pool=39246623.167107776, q_cum=1.7787258805847903,
+                attack_frac=0.1649293445292943, node_count=2000.0, load_mean=47.03989411670173,
+                space=Point(17.604022777115183))],
+     ((0.6339284339796136, 0.8130190477833392), (0.04977516003167137, 0.7592666581838622)),
+     ((0.6339284339796136, 0.3660715660203864), (0.9502248399683286, 0.04977516003167137))),
+    ("zero_cost_tie_rounding",
+     [make_view(n_alive=630755.58971428, pool=1872951.9721552955, q_cum=63.86400347276097),
+      make_view(n_alive=609987.6297141807, pool=14779474.28361242, q_cum=182.72301114692485),
+      make_view(n_alive=332708.20073858317, pool=3660866.144943068, q_cum=181.31020461361524),
+      make_view(n_alive=87506.21749152515, pool=22980591.862309035, q_cum=183.76209417899742)],
+     ((0.0740116826699872, 0.391529849241405),),
+     (0.0740116826699872, 0.391529849241405, 0.391529849241405, 0.1429286188472027)),
+]
+
+
+@pytest.mark.parametrize("views,bounds,expected", [case[1:] for case in PINNED_DECISIONS],
+                         ids=[case[0] for case in PINNED_DECISIONS])
+def test_pinned_decisions(views, bounds, expected):
+    m = decide(SWO(bounds=bounds), views, 1).matrix.m
+    assert m == (expected if len(views) == 2 else (expected,) * len(views))
