@@ -17,9 +17,8 @@ from .distributions import (DistributionError, DistributionSpec, Point,
                             ShiftedExponential, Uniform, dist_cdf, dist_mean,
                             dist_sample, dist_sf_geq)
 from .meanfield import (InitiationCase, MeanFieldState, MeanFieldTrajectory,
-                        Outcome, mf_classify_initiation, mf_init, mf_run,
-                        mf_step, rkg_identical_step, rkg_run,
-                        trajectory_to_csv)
+                        Outcome, mf_classify_initiation, mf_run,
+                        rkg_identical_step, rkg_run, trajectory_to_csv)
 from .montecarlo import (Graph, NodePopulation, SimOutcome, apply_attack,
                          generate_graph, mc_run, mc_step_complete,
                          mc_step_local, read_edge_list, sample_population,

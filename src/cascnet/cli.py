@@ -52,7 +52,7 @@ from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
 from .distributions import Point, ShiftedExponential, Uniform
 from .meanfield import Outcome, mf_run, trajectory_to_csv
 from .montecarlo import SimulationError, mc_run
-from .search import (GraphCache, attack_sweep, compare_strategies,
+from .search import (GraphCache, _unsettled, attack_sweep, compare_strategies,
                      critical_attack_size, fcc_grid_sweep, heatmap_to_csv,
                      make_meanfield_runner, make_montecarlo_runner,
                      meanfield_sweep, sweep_to_csv)
@@ -361,6 +361,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     for s in cfg.seeds:
         out = mc_run(list(cfg.networks), attack, cfg.strategy(), seed=s,
                      max_steps=cfg.max_steps, graphs=cache.graphs(s))
+        if out.non_converged:
+            raise _unsettled(f"{attack.p} with seed {s}", cfg.max_steps)
         rows.append([s, out.steps, int(out.breakdown)]
                     + [repr(f) for f in out.final_fractions])
     path = out_dir / "runs.csv"

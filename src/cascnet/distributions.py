@@ -38,7 +38,11 @@ class Uniform:
 
     def sf_geq(self, x: float) -> float:
         """P[X >= x]; equals 1 - cdf(x) for continuous families."""
-        return 1.0 - self.cdf(x)
+        if x <= self.lo:
+            return 1.0
+        if x >= self.hi:
+            return 0.0
+        return 1.0 - (x - self.lo) / (self.hi - self.lo)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=n)
@@ -64,7 +68,10 @@ class ShiftedExponential:
         return self.shift + 1.0 / self.rate
 
     def sf_geq(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
+        if x <= self.shift:
+            return 1.0
+        # 1 - cdf(x) with cdf's rounding, not exp(...) alone.
+        return 1.0 - (1.0 - math.exp(-self.rate * (x - self.shift)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.shift + rng.exponential(1.0 / self.rate, size=n)

@@ -17,10 +17,12 @@ simulation). Iteration stops when every network's survivor count changes by
 less than one node and no held load remains in flight, or when every
 network is empty (breakdown).
 
-`mf_init`, `mf_step` and `mf_run` share one step: a failure phase over
-per-run constants (node count, 1 - p, E[L], space law), then a coupling
-phase that routes the pools. A fixed coupling (FCC) is decided once, at
-t = 0, and reused on every later step.
+`mf_run` runs the whole recursion in one loop over per-run columns (node
+count, 1 - p, E[L], the space law's P[S >= x]): the attack at t = 0, then
+per step the failure phase, the strategy's decision, the coupling phase
+with its monotonicity check, and the settle test. A fixed coupling (FCC) is
+decided once, at t = 0, and reused on every later step. Load is routed by
+`_routed_inbound`, which the complete-graph Monte-Carlo step shares.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import AttackSpec, CouplingMatrix, NetworkConfig, validate_coupling
+from .core import AttackSpec, CouplingMatrix, NetworkConfig
 from .distributions import dist_mean, dist_sf_geq
 from .strategies import FCC, CouplingDecision, CouplingStrategy, NetView, decide
 
@@ -104,71 +106,6 @@ def _routed_inbound(pools: list[float], coupling: CouplingMatrix,
     return recv
 
 
-def _constants(cfgs: list[NetworkConfig], attack: AttackSpec) -> list[tuple]:
-    """Per network, once per run: (node count, 1 - p, E[L], space law)."""
-    if len(attack.p) != len(cfgs):
-        raise MeanFieldError(f"attack has {len(attack.p)} entries for {len(cfgs)} networks")
-    return [(c.node_count, 1.0 - p, dist_mean(c.load_dist), c.space_dist)
-            for c, p in zip(cfgs, attack.p)]
-
-
-def _attack_phase(nets, attack: AttackSpec) -> tuple[list[float], list[float], list[float]]:
-    """(f_0, N_0, F_0): the attacked nodes fail and emit their loads."""
-    return (list(attack.p), [keep * count for count, keep, _, _ in nets],
-            [count * p * load for (count, _, load, _), p in zip(nets, attack.p)])
-
-
-def _failure_phase(nets, prev: MeanFieldState) -> tuple[list[float], list[float], list[float]]:
-    """(f_t, N_t, F_t) implied by the load placed through step t-1.
-
-    For a network that already had no survivors, prev.total_extra holds load
-    that landed on it last step and is still in flight; it joins this step's
-    pool so the coupling phase can forward it. Every law's P[S >= inf] is 0.
-    """
-    f, n_alive, pools = [], [], []
-    for (count, keep, load, space), f_prev, alive, held, q in zip(
-            nets, prev.f, prev.n_alive, prev.total_extra, prev.q_cum):
-        surv = keep * space.sf_geq(q)
-        fi = 1.0 - surv
-        pool = count * max(fi - f_prev, 0.0) * (load + (q if q < math.inf else 0.0))
-        if alive < 1.0:
-            pool += held
-        f.append(fi)
-        n_alive.append(surv * count)
-        pools.append(pool)
-    return f, n_alive, pools
-
-
-def _coupling_phase(q_prev, t: int, f, n_alive, pools,
-                    coupling: CouplingMatrix) -> MeanFieldState:
-    """Route this step's pools on top of the cumulative loads q_prev. An
-    empty network keeps what lands on it in its pool slot (forwarded next
-    step); its per-survivor increment is the +inf sentinel."""
-    live = [na >= 1.0 for na in n_alive]
-    recv = _routed_inbound(pools, coupling, live)
-    q_step, held = [], []
-    for r, na, pool, is_live in zip(recv, n_alive, pools, live):
-        if is_live:
-            q_step.append(r / na)
-            held.append(pool)
-        else:
-            q_step.append(math.inf if r > 0.0 else 0.0)
-            held.append(r)
-    return MeanFieldState(t, tuple(f), tuple(n_alive), tuple(held), tuple(q_step),
-                          tuple([q + dq for q, dq in zip(q_prev, q_step)]))
-
-
-def mf_init(cfgs: list[NetworkConfig], attack: AttackSpec,
-            coupling: CouplingMatrix) -> MeanFieldState:
-    """State right after the initial attack and its first redistribution:
-    `mf_run`'s t = 0 state under `coupling`."""
-    nets = _constants(cfgs, attack)
-    validate_coupling(coupling)
-    if coupling.n != len(nets):
-        raise MeanFieldError("coupling matrix size does not match network count")
-    return _coupling_phase((0.0,) * len(nets), 0, *_attack_phase(nets, attack), coupling)
-
-
 def mf_classify_initiation(state0: MeanFieldState,
                            space_min: tuple[float, ...]) -> tuple[InitiationCase, tuple[int, ...]]:
     """Which networks the initial redistribution triggers.
@@ -186,22 +123,6 @@ def mf_classify_initiation(state0: MeanFieldState,
     return InitiationCase.CASE2, triggered
 
 
-def mf_step(prev: MeanFieldState, coupling: CouplingMatrix,
-            cfgs: list[NetworkConfig], attack: AttackSpec) -> MeanFieldState:
-    """One recursion step. The failure window [Q_{t-2}, Q_{t-1}] is implicit
-    in prev.f: the pool is computed through the difference f_t - f_{t-1}."""
-    return _coupling_phase(prev.q_cum, prev.t + 1,
-                           *_failure_phase(_constants(cfgs, attack), prev), coupling)
-
-
-def _check_monotone(prev: MeanFieldState, cur: MeanFieldState) -> None:
-    for i in range(len(cur.f)):
-        if cur.f[i] < prev.f[i] - 1e-12:
-            raise MeanFieldError(f"failed fraction decreased for network {i} at t={cur.t}")
-        if cur.q_cum[i] < prev.q_cum[i] - 1e-12:
-            raise MeanFieldError(f"cumulative load decreased for network {i} at t={cur.t}")
-
-
 def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
            strategy: CouplingStrategy, max_steps: int = DEFAULT_MAX_STEPS,
            record_decisions: bool = False,
@@ -211,47 +132,97 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
     coupling (FCC) is decided at t = 0 and reused."""
     if max_steps < 1:
         raise MeanFieldError("max_steps must be >= 1")
-    nets = _constants(cfgs, attack)
-    zeros = (0.0,) * len(nets)
+    ps = attack.p
+    if len(ps) != len(cfgs):
+        raise MeanFieldError(f"attack has {len(ps)} entries for {len(cfgs)} networks")
+    # Per-run columns: node count, 1 - p, E[L], the space law and its P[S >= x].
+    counts = [c.node_count for c in cfgs]
+    keeps = [1.0 - p for p in ps]
+    loads = [dist_mean(c.load_dist) for c in cfgs]
+    spaces = [c.space_dist for c in cfgs]
+    sf_geqs = [s.sf_geq for s in spaces]
+    inf = math.inf
+    rn = range(len(cfgs))
     fixed = isinstance(strategy, FCC)
     decisions: list[CouplingDecision] = []
     steps: list[MeanFieldState] = []
-
-    def finish(outcome, taken):
-        fractions = tuple(1.0 - fi for fi in steps[-1].f)
-        traj = MeanFieldTrajectory(steps, outcome, fractions, taken)
-        return (traj, decisions) if record_decisions else traj
-
-    f, n_alive, pools = _attack_phase(nets, attack)
-    q_cum = zeros
+    # t = 0: the attacked nodes fail and emit their loads.
+    f = list(ps)
+    n_alive = [keep * count for count, keep in zip(counts, keeps)]
+    pools = [count * p * load for count, p, load in zip(counts, ps, loads)]
+    q_cum = (0.0,) * len(cfgs)
     dec = None
+    outcome, taken = Outcome.NON_CONVERGED, max_steps
     for t in range(max_steps + 1):
         if t:
-            f, n_alive, pools = _failure_phase(nets, state)
+            # Failures implied by the load placed through step t-1; the pool
+            # is computed through f_t - f_{t-1}. A network that already had
+            # no survivors adds the load it held, so that it is forwarded now.
+            # Every law's P[S >= inf] is 0.
+            f_prev, na_prev = f, n_alive
+            f, n_alive, pools = [], [], []
+            for i in rn:
+                q = q_cum[i]
+                count = counts[i]
+                surv = keeps[i] * sf_geqs[i](q)
+                fi = 1.0 - surv
+                d = fi - f_prev[i]
+                if d < 0.0:
+                    d = 0.0
+                pool = count * d * (loads[i] + (q if q < inf else 0.0))
+                if na_prev[i] < 1.0:
+                    pool += held[i]
+                f.append(fi)
+                n_alive.append(surv * count)
+                pools.append(pool)
         if max(n_alive) < 1.0:
             steps.append(MeanFieldState(t, tuple(f), tuple(n_alive), tuple(pools),
-                                        zeros, q_cum))
-            return finish(Outcome.BREAKDOWN, t)
+                                        (0.0,) * len(cfgs), q_cum))
+            outcome, taken = Outcome.BREAKDOWN, t
+            break
         if dec is None or not fixed:
-            views = [NetView(n_alive=na, pool=pool, q_cum=q, attack_frac=p, node_count=count,
-                             load_mean=load, space_dist=space)
-                     for (count, _, load, space), p, na, pool, q
-                     in zip(nets, attack.p, n_alive, pools, q_cum)]
-            dec = decide(strategy, views, t)
+            dec = decide(strategy, [
+                NetView(n_alive=na, pool=pool, q_cum=q, attack_frac=p, node_count=count,
+                        load_mean=load, space_dist=space)
+                for count, load, space, p, na, pool, q
+                in zip(counts, loads, spaces, ps, n_alive, pools, q_cum)], t)
         decisions.append(dec)
-        new = _coupling_phase(q_cum, t, f, n_alive, pools, dec.matrix)
-        steps.append(new)
-        if t:
-            _check_monotone(state, new)
-            # Held load on an empty network moves next step; don't stop while
-            # more than one node's worth is still in flight.
-            if all(abs(a - b) < 1.0 for a, b in zip(new.n_alive, state.n_alive)) and all(
-                    held < net[2] for held, na, net in zip(new.total_extra, new.n_alive, nets)
-                    if na < 1.0):
-                no_new_failures = all(fi <= p + 1e-15 for fi, p in zip(new.f, attack.p))
-                return finish(Outcome.NO_CASCADE if no_new_failures else Outcome.SURVIVED, t)
-        state, q_cum = new, new.q_cum
-    return finish(Outcome.NON_CONVERGED, max_steps)
+        # Route the pools. An empty network keeps what lands on it (forwarded
+        # next step); its per-survivor increment is the +inf sentinel.
+        live = [na >= 1.0 for na in n_alive]
+        recv = _routed_inbound(pools, dec.matrix, live)
+        q_step, held, q_new = [], [], []
+        settled = t > 0
+        for i in rn:
+            na = n_alive[i]
+            q = q_cum[i]
+            if live[i]:
+                dq = recv[i] / na
+                h = pools[i]
+            else:
+                dq = inf if recv[i] > 0.0 else 0.0
+                h = recv[i]
+            qn = q + dq
+            q_step.append(dq)
+            q_new.append(qn)
+            held.append(h)
+            if t:
+                if f[i] < f_prev[i] - 1e-12:
+                    raise MeanFieldError(f"failed fraction decreased for network {i} at t={t}")
+                if qn < q - 1e-12:
+                    raise MeanFieldError(f"cumulative load decreased for network {i} at t={t}")
+                # Held load on an empty network moves next step; don't stop
+                # while more than one node's worth is still in flight.
+                if not abs(na - na_prev[i]) < 1.0 or (na < 1.0 and not h < loads[i]):
+                    settled = False
+        q_cum, held = tuple(q_new), tuple(held)
+        steps.append(MeanFieldState(t, tuple(f), tuple(n_alive), held, tuple(q_step), q_cum))
+        if settled:
+            no_new_failures = all(fi <= p + 1e-15 for fi, p in zip(f, ps))
+            outcome, taken = (Outcome.NO_CASCADE if no_new_failures else Outcome.SURVIVED), t
+            break
+    traj = MeanFieldTrajectory(steps, outcome, tuple(1.0 - fi for fi in steps[-1].f), taken)
+    return (traj, decisions) if record_decisions else traj
 
 
 def rkg_identical_step(q_prev: float, m: int, load_dist, space_dist,

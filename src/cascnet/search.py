@@ -90,9 +90,9 @@ def _broken(fractions: Sequence[float], node_counts: Sequence[int]) -> bool:
     return any(f * n < 1.0 for f, n in zip(fractions, node_counts))
 
 
-def _unsettled(scale: float, max_steps: int) -> SearchError:
+def _unsettled(at: str, max_steps: int) -> SearchError:
     """A cut-off run has no final portion, and no verdict unless a network is empty."""
-    return SearchError(f"a run at attack scale {scale!r} reached max_steps = {max_steps} "
+    return SearchError(f"a run at attack {at} reached max_steps = {max_steps} "
                        "with load still in flight, so its outcome is unknown")
 
 
@@ -107,7 +107,7 @@ def make_meanfield_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
         traj = mf_run(cfgs, attack, strategy, max_steps=max_steps)
         broken = _broken(traj.final_fractions, counts)
         if traj.outcome == Outcome.NON_CONVERGED and not broken:
-            raise _unsettled(scale, max_steps)
+            raise _unsettled(f"scale {scale!r}", max_steps)
         return broken
 
     return runner
@@ -149,7 +149,7 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
                          graphs=cache.graphs(s))
             broken = 0.0 in out.final_fractions  # fraction is count / N
             if out.non_converged and not broken:
-                raise _unsettled(scale, max_steps)
+                raise _unsettled(f"scale {scale!r}", max_steps)
             broke += broken
         return 2 * broke > len(seeds)
 
@@ -205,7 +205,7 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
             out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
                          graphs=cache.graphs(s))
             if out.non_converged:
-                raise _unsettled(g, max_steps)
+                raise _unsettled(f"scale {g!r}", max_steps)
             portions.append(float(np.dot(out.final_fractions, counts) / counts.sum()))
         means.append(float(np.mean(portions)))
         stds.append(float(np.std(portions)))
@@ -223,7 +223,7 @@ def meanfield_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
         traj = mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strategy,
                       max_steps=max_steps)
         if traj.outcome == Outcome.NON_CONVERGED:
-            raise _unsettled(g, max_steps)
+            raise _unsettled(f"scale {g!r}", max_steps)
         means.append(traj.surviving_portion(counts))
     return SweepResult(tuple(grid), tuple(means), (0.0,) * len(means), 1)
 

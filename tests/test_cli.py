@@ -496,6 +496,20 @@ def test_cut_off_bisection_returns_2(tmp_path, capsys, engine):
     assert not (out / "critical.csv").exists()
 
 
+def test_cut_off_simulate_returns_2(tmp_path, capsys):
+    # The same system and cap as `test_cut_off_bisection_returns_2`, at the
+    # config's attack (0.5, 0): three steps settle neither seed's run.
+    cfg = (BASE.replace("engine = meanfield", "engine = montecarlo")
+           .replace("1000000", "20000").replace("strategy = fcc", "strategy = sbd")
+           + "max_steps = 3\n")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert "max_steps = 3" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_emit_config_is_parseable_from_defaults():
     cfg = parse_config(BASE)
     text = emit_config(cfg)

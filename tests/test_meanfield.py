@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cascnet.core import AttackSpec, CouplingMatrix, NetworkConfig
 from cascnet.distributions import Point, ShiftedExponential, Uniform
 from cascnet.meanfield import (InitiationCase, MeanFieldError, Outcome,
-                               mf_classify_initiation, mf_init, mf_run,
-                               mf_step, rkg_identical_step, rkg_run,
-                               trajectory_to_csv)
+                               mf_classify_initiation, mf_run,
+                               rkg_identical_step, rkg_run, trajectory_to_csv)
 from cascnet.search import critical_attack_size, make_meanfield_runner
 from cascnet.strategies import FCC, SBD, SWO
 
@@ -23,10 +22,15 @@ def two_nets(space_a=Uniform(20, 180), space_b=Uniform(20, 180), load=Point(75.0
             NetworkConfig(1, N, load, space_b)]
 
 
+def first_state(attack, matrix, cfgs=None):
+    """The t = 0 state of a run under the fixed coupling `matrix`: the
+    attack and its first redistribution."""
+    return mf_run(cfgs or two_nets(), AttackSpec(attack), FCC(matrix)).steps[0]
+
+
 class TestInit:
     def test_all_internal_coupling(self):
-        state = mf_init(two_nets(), AttackSpec((0.5, 0.0)),
-                        CouplingMatrix.two_net(1.0, 1.0))
+        state = first_state((0.5, 0.0), CouplingMatrix.two_net(1.0, 1.0))
         assert state.total_extra == (pytest.approx(3.75e7), 0.0)
         assert state.q_cum[0] == pytest.approx(75.0)
         assert state.q_cum[1] == 0.0
@@ -34,8 +38,7 @@ class TestInit:
     def test_even_coupling(self):
         # A's pool 3.75e7 splits evenly: A gets 1.875e7 over 5e5 survivors,
         # B gets 1.875e7 over 1e6 survivors.
-        state = mf_init(two_nets(), AttackSpec((0.5, 0.0)),
-                        CouplingMatrix.two_net(0.5, 0.5))
+        state = first_state((0.5, 0.0), CouplingMatrix.two_net(0.5, 0.5))
         assert state.q_cum[0] == pytest.approx(37.5)
         assert state.q_cum[1] == pytest.approx(18.75)
 
@@ -43,46 +46,46 @@ class TestInit:
         # Every node of A dies. The identity coupling aims A's pool back at A,
         # which has no survivors, so the pool follows A's row renormalized
         # over the live networks: all of it lands on B.
-        state = mf_init(two_nets(), AttackSpec((1.0, 0.0)),
-                        CouplingMatrix.identity(2))
+        state = first_state((1.0, 0.0), CouplingMatrix.identity(2))
         assert state.q_cum == (0.0, pytest.approx(75.0))
         # Half of B's pool is aimed at the empty A: A holds it, and its
         # average extra load is +inf.
-        state = mf_init(two_nets(), AttackSpec((1.0, 0.5)),
-                        CouplingMatrix.two_net(0.5, 0.5))
+        state = first_state((1.0, 0.5), CouplingMatrix.two_net(0.5, 0.5))
         assert math.isinf(state.q_cum[0])
         assert state.total_extra[0] == pytest.approx(0.25 * N * 75.0)
         assert state.q_cum[1] == pytest.approx(187.5)
 
     @pytest.mark.parametrize("attack", [(0.5, 0.0), (1.0, 0.0), (1.0, 0.5), (0.3, 0.6)])
     def test_is_the_first_state_of_a_run(self, attack):
+        # The attack, its survivors, and every unit of the attacked nodes'
+        # load placed: on survivors as Q, or held by an empty network.
         for matrix in (CouplingMatrix.two_net(0.5, 0.5), CouplingMatrix.identity(2)):
-            run = mf_run(two_nets(), AttackSpec(attack), FCC(matrix))
-            assert mf_init(two_nets(), AttackSpec(attack), matrix) == run.steps[0]
+            state = first_state(attack, matrix)
+            assert state.t == 0 and state.f == attack
+            assert state.n_alive == tuple((1.0 - p) * N for p in attack)
+            assert state.q_cum == state.q_step
+            placed = sum(q * na if na >= 1.0 else held for q, na, held
+                         in zip(state.q_step, state.n_alive, state.total_extra))
+            assert placed == pytest.approx(sum(N * p * 75.0 for p in attack))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(MeanFieldError):
-            mf_init(two_nets(), AttackSpec((0.5,)), CouplingMatrix.identity(2))
-        with pytest.raises(MeanFieldError):
-            mf_init(two_nets(), AttackSpec((0.5, 0.0)), CouplingMatrix.identity(3))
+        with pytest.raises(MeanFieldError, match="attack has 1 entries for 2 networks"):
+            mf_run(two_nets(), AttackSpec((0.5,)), FCC(CouplingMatrix.identity(2)))
 
 
 class TestInitiationCases:
     def test_no_network_triggered(self):
-        state = mf_init(two_nets(), AttackSpec((0.1, 0.0)),
-                        CouplingMatrix.two_net(0.5, 0.5))
+        state = first_state((0.1, 0.0), CouplingMatrix.two_net(0.5, 0.5))
         case, triggered = mf_classify_initiation(state, (20.0, 20.0))
         assert case is InitiationCase.CASE1 and triggered == ()
 
     def test_one_side_triggered(self):
-        state = mf_init(two_nets(), AttackSpec((0.5, 0.0)),
-                        CouplingMatrix.two_net(0.5, 0.5))
+        state = first_state((0.5, 0.0), CouplingMatrix.two_net(0.5, 0.5))
         case, triggered = mf_classify_initiation(state, (20.0, 20.0))
         assert case is InitiationCase.CASE2 and triggered == (0,)
 
     def test_all_triggered(self):
-        state = mf_init(two_nets(), AttackSpec((0.5, 0.5)),
-                        CouplingMatrix.two_net(0.5, 0.5))
+        state = first_state((0.5, 0.5), CouplingMatrix.two_net(0.5, 0.5))
         case, triggered = mf_classify_initiation(state, (20.0, 20.0))
         assert case is InitiationCase.CASE3 and triggered == (0, 1)
 
@@ -91,10 +94,9 @@ class TestStepGolden:
     def test_first_failure_fraction(self):
         # After the even split, A carries 37.5 per survivor; survivors with
         # space below 37.5 fail: f = 1 - 0.5 * (1 - 17.5/160) exactly.
-        state0 = mf_init(two_nets(), AttackSpec((0.5, 0.0)),
-                         CouplingMatrix.two_net(0.5, 0.5))
-        state1 = mf_step(state0, CouplingMatrix.two_net(0.5, 0.5),
-                         two_nets(), AttackSpec((0.5, 0.0)))
+        state1 = mf_run(two_nets(), AttackSpec((0.5, 0.0)),
+                        FCC(CouplingMatrix.two_net(0.5, 0.5))).steps[1]
+        assert state1.t == 1
         assert state1.f[0] == pytest.approx(0.5546875, abs=1e-12)
         assert state1.f[1] == 0.0  # 18.75 is below B's minimum space of 20
         # newly failed A nodes carried mean load 75 plus the 37.5 extra

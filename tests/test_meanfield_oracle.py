@@ -3,6 +3,7 @@ shared one set of per-run constants and a fixed coupling was decided once.
 The engine must reproduce it bit for bit, decisions and errors included."""
 
 import math
+import random
 
 import pytest
 
@@ -223,6 +224,59 @@ CASES = (
 )
 
 
+def _law(rng: random.Random, point_values):
+    kind = rng.choice(("uniform", "shiftedexp", "point"))
+    if kind == "uniform":
+        lo = rng.choice((0.0, rng.uniform(0.0, 60.0)))
+        return Uniform(lo, lo + rng.uniform(0.5, 300.0))
+    if kind == "shiftedexp":
+        return ShiftedExponential(rng.choice((0.0, rng.uniform(0.0, 60.0))),
+                                  1.0 / rng.uniform(5.0, 200.0))
+    return Point(rng.choice(point_values + (rng.uniform(0.0, 150.0), rng.uniform(0.0, 150.0))))
+
+
+def _row(rng: random.Random, n: int) -> tuple[float, ...]:
+    """A random row summing to 1 within rounding, some entries zero."""
+    weights = [rng.choice((0.0, rng.random())) for _ in range(n)]
+    if not any(weights):
+        weights[rng.randrange(n)] = 1.0
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def random_cases(count: int, seed: int = 20):
+    """(cfgs, attack, strategy, max_steps): 1-4 networks of 1 to 10**6
+    nodes, every law family, attack entries at 0 and 1, random FCC rows with
+    zeros, SBD, SWO on pairs, and caps of 1-3 steps or the default.
+
+    Point loads of 0 and -0.0 are drawn under caps of 1-3 steps only: once a
+    network with zero mean load is empty, its held load is never below that
+    mean, so the run never settles and would take all 100,000 steps."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        max_steps = rng.choice((1, 2, 3, DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS))
+        zero_loads = (0.0, -0.0) if max_steps <= 3 else ()
+        cfgs = [net(i, rng.choice((1, 4, 10 ** 6) + (int(10 ** rng.uniform(0, 6)),) * 3),
+                    _law(rng, zero_loads), _law(rng, (0.0, 50.0)))
+                for i in range(n)]
+        attack = tuple(rng.choice((0.0, 1.0, rng.random(), rng.uniform(0.0, 0.3)))
+                       for _ in range(n))
+        kind = rng.choice(("fcc", "sbd", "swo", "swo_bounded") if n == 2 else ("fcc", "sbd"))
+        if kind == "fcc":
+            strategy = FCC(CouplingMatrix(tuple(_row(rng, n) for _ in range(n))))
+        elif kind == "sbd":
+            strategy = SBD()
+        elif kind == "swo":
+            strategy = SWO()
+        else:
+            lo = rng.uniform(0.0, 0.5)
+            strategy = SWO(((lo, rng.uniform(lo, 1.0)),))
+        cases.append((cfgs, attack, strategy, max_steps))
+    return cases
+
+
 def outcome(run, *args, **kwargs) -> str:
     """repr of a run's result, or of the error it raised."""
     try:
@@ -243,6 +297,18 @@ class TestMeanFieldOracle:
             assert repr(meanfield.mf_run(cfgs, attack, strategy)) == repr(want[0])
             seen.add(want[0].outcome)
         assert seen == {Outcome.NO_CASCADE, Outcome.SURVIVED, Outcome.BREAKDOWN}
+
+    def test_random_systems(self):
+        seen = set()
+        for cfgs, p, strategy, max_steps in random_cases(400):
+            attack = AttackSpec(p)
+            want = outcome(mf_run, cfgs, attack, strategy, max_steps=max_steps,
+                           record_decisions=True)
+            got = outcome(meanfield.mf_run, cfgs, attack, strategy, max_steps=max_steps,
+                          record_decisions=True)
+            assert got == want, (cfgs, p, strategy, max_steps)
+            seen.update(o for o in Outcome if repr(o) in want)
+        assert seen == set(Outcome)
 
     def test_held_load_and_sentinel(self):
         # A is emptied by the attack; B sends it half its pool, which A holds

@@ -5,14 +5,14 @@ import csv
 import pytest
 
 from cascnet.core import CouplingMatrix, NetworkConfig
-from cascnet.distributions import Point, Uniform
+from cascnet.distributions import Point, ShiftedExponential, Uniform
 from cascnet.search import (CriticalResult, GraphCache, HeatmapResult,
                             SearchError, SweepResult, attack_sweep,
                             compare_strategies, critical_attack_size,
                             fcc_grid_sweep, heatmap_to_csv,
                             make_meanfield_runner, make_montecarlo_runner,
                             meanfield_sweep, sweep_to_csv)
-from cascnet.strategies import FCC, SBD
+from cascnet.strategies import FCC, SBD, SWO
 
 N = 10 ** 6
 
@@ -231,3 +231,36 @@ def test_compare_strategies_shares_grid():
         assert 0.0 < r.critical.value < 1.0
     # survivor-weighted balancing should never lose to the even fixed split
     assert reports[1].critical.value >= reports[0].critical.value - 5e-3
+
+
+# Mean-field critical sizes, exactly as the engine gave them when these pins
+# were taken. A bisection returns a dyadic midpoint, so a change in the last
+# bits of a trajectory shows here once it flips one probe; the acceptance
+# criteria check the same systems only within 1e-3 or more.
+NONIDENTICAL = [NetworkConfig(0, 10 ** 5, Point(75.0), Uniform(20, 180)),
+                NetworkConfig(1, 10 ** 5, Point(75.0), Uniform(40, 280))]
+NARROW = [NetworkConfig(0, 10 ** 6, Uniform(10, 30), Uniform(10, 65)),
+          NetworkConfig(1, 10 ** 6, Uniform(10, 30), Uniform(10, 65))]
+SHIFTED_EXP = [NetworkConfig(i, 10 ** 5, Point(60.0), ShiftedExponential(20.0, 1.0 / 120.0))
+               for i in range(2)]
+
+
+@pytest.mark.parametrize("cfgs,shape,i,j,want", [
+    (NONIDENTICAL, (0.0, 1.0), 0, 3, 0.63134765625),   # criterion 1's argmax cell
+    (NONIDENTICAL, (0.0, 1.0), 20, 0, 0.35498046875),  # its lowest cell
+    (NONIDENTICAL, (0.0, 1.0), 10, 10, 0.62255859375),
+    (NONIDENTICAL, (0.0, 1.0), 6, 16, 0.52294921875),
+    (NARROW, (1.0, 0.0), 7, 7, 0.72021484375),         # criterion 3's diagonal
+    (NARROW, (1.0, 0.0), 14, 14, 0.53857421875),
+], ids=["heat-argmax", "heat-lowest", "heat-even", "heat-0.3-0.8", "diag-0.35", "diag-0.7"])
+def test_meanfield_heat_cells_are_pinned(cfgs, shape, i, j, want):
+    # The cell at grid indices (i, j) of a resolution-0.05 heatmap.
+    heat = fcc_grid_sweep(cfgs, shape, tol=1e-3, use_meanfield=True,
+                          alpha_grid=(i * 0.05,), beta_grid=(j * 0.05,))
+    assert heat.cells[0][0] == want
+
+
+@pytest.mark.parametrize("strategy", [SBD(), SWO()], ids=["sbd", "swo"])
+def test_meanfield_shifted_exponential_critical_is_pinned(strategy):
+    runner = make_meanfield_runner(SHIFTED_EXP, strategy, (1.0, 0.0))
+    assert critical_attack_size(runner, tol=1e-3).value == 0.60400390625
