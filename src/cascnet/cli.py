@@ -344,14 +344,14 @@ def _attack_vector(cfg: RunConfig) -> AttackSpec:
 
 
 def cmd_meanfield(cfg: RunConfig, out_dir: Path) -> int:
-    traj = mf_run(list(cfg.networks), _attack_vector(cfg), cfg.strategy(),
-                  max_steps=cfg.max_steps)
-    trajectory_to_csv(traj, str(out_dir / "trajectory.csv"))
+    run = mf_run(list(cfg.networks), _attack_vector(cfg), cfg.strategy(),
+                 max_steps=cfg.max_steps)
+    trajectory_to_csv(run, str(out_dir / "trajectory.csv"))
     _write_manifest(out_dir, cfg, "meanfield", ["trajectory.csv"])
-    portion = traj.surviving_portion(tuple(n.node_count for n in cfg.networks))
-    print(f"outcome={traj.outcome.value} steps={traj.steps_taken} "
+    portion = run.surviving_portion(tuple(n.node_count for n in cfg.networks))
+    print(f"outcome={run.outcome.value} steps={run.steps_taken} "
           f"surviving_portion={portion:.6f}")
-    return 0 if traj.outcome != Outcome.NON_CONVERGED else 1
+    return 1 if run.non_converged else 0
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -363,7 +363,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
                      max_steps=cfg.max_steps, graphs=cache.graphs(s))
         if out.non_converged:
             raise _unsettled(f"{attack.p} with seed {s}", cfg.max_steps)
-        rows.append([s, out.steps, int(out.breakdown)]
+        rows.append([s, out.steps_taken, int(out.outcome is Outcome.BREAKDOWN)]
                     + [repr(f) for f in out.final_fractions])
     path = out_dir / "runs.csv"
     with open(path, "w", newline="") as fh:

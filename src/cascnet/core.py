@@ -114,11 +114,3 @@ def validate_coupling(cm: CouplingMatrix) -> None:
         s = sum(row)
         if abs(s - 1.0) > ROW_SUM_TOL:
             raise CouplingError(f"row {i} sums to {s!r}, expected 1 within {ROW_SUM_TOL}")
-
-
-def is_valid_coupling(cm: CouplingMatrix) -> bool:
-    try:
-        validate_coupling(cm)
-        return True
-    except CouplingError:
-        return False

@@ -26,18 +26,11 @@ class Uniform:
         if not (self.lo >= 0.0 and self.hi > self.lo):
             raise DistributionError(f"Uniform requires 0 <= lo < hi, got ({self.lo}, {self.hi})")
 
-    def cdf(self, x: float) -> float:
-        if x <= self.lo:
-            return 0.0
-        if x >= self.hi:
-            return 1.0
-        return (x - self.lo) / (self.hi - self.lo)
-
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
     def sf_geq(self, x: float) -> float:
-        """P[X >= x]; equals 1 - cdf(x) for continuous families."""
+        """P[X >= x]."""
         if x <= self.lo:
             return 1.0
         if x >= self.hi:
@@ -59,18 +52,13 @@ class ShiftedExponential:
                 f"ShiftedExponential requires shift >= 0 and rate > 0, got ({self.shift}, {self.rate})"
             )
 
-    def cdf(self, x: float) -> float:
-        if x <= self.shift:
-            return 0.0
-        return 1.0 - math.exp(-self.rate * (x - self.shift))
-
     def mean(self) -> float:
         return self.shift + 1.0 / self.rate
 
     def sf_geq(self, x: float) -> float:
         if x <= self.shift:
             return 1.0
-        # 1 - cdf(x) with cdf's rounding, not exp(...) alone.
+        # Rounded as 1 - (1 - exp(...)), not exp(...) alone; pinned runs rest on it.
         return 1.0 - (1.0 - math.exp(-self.rate * (x - self.shift)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,9 +73,6 @@ class Point:
         if not self.value >= 0.0:
             raise DistributionError(f"Point requires value >= 0, got {self.value}")
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.value else 0.0
-
     def mean(self) -> float:
         return self.value
 
@@ -100,11 +85,6 @@ class Point:
 
 
 DistributionSpec = Uniform | ShiftedExponential | Point
-
-
-def dist_cdf(d: DistributionSpec, x: float) -> float:
-    """P[X <= x]."""
-    return d.cdf(x)
 
 
 def dist_mean(d: DistributionSpec) -> float:

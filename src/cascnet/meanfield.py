@@ -14,8 +14,9 @@ Load aimed at a network with no survivors is not lost: it is held for one
 step and then forwarded through that network's coupling row, renormalized
 over the networks that still have survivors (mirroring the node-level
 simulation). Iteration stops when every network's survivor count changes by
-less than one node and no held load remains in flight, or when every
-network is empty (breakdown).
+less than one node and no empty network holds as much as its mean load (any
+load at all when that mean is 0), or when every network is empty
+(breakdown). Both engines return a `RunResult`.
 
 `mf_run` runs the whole recursion in one loop over per-run columns (node
 count, 1 - p, E[L], the space law's P[S >= x]): the attack at t = 0, then
@@ -54,33 +55,40 @@ class MeanFieldState:
 
 
 class Outcome(enum.Enum):
+    """How a run ended. BREAKDOWN means every network is empty; a run that
+    empties only some networks settles as NO_CASCADE or SURVIVED."""
     NO_CASCADE = "no_cascade"
     SURVIVED = "survived"
     BREAKDOWN = "breakdown"
     NON_CONVERGED = "non_converged"
 
 
-class InitiationCase(enum.Enum):
-    CASE1 = 1  # no network triggered
-    CASE2 = 2  # exactly one side triggered
-    CASE3 = 3  # all networks triggered
-
-
 @dataclass(frozen=True)
-class MeanFieldTrajectory:
-    steps: list[MeanFieldState]
-    outcome: Outcome
+class RunResult:
+    """One run of either engine. `survivors` are the final survivor counts
+    (expected counts in mean-field), `trajectory` one state per step (in
+    Monte-Carlo only when recorded) and `decisions` the coupling used on
+    each step, repeated for a fixed coupling."""
     final_fractions: tuple[float, ...]
+    survivors: tuple[float, ...]
     steps_taken: int
+    outcome: Outcome
+    trajectory: list[MeanFieldState]
+    decisions: list[CouplingDecision]
 
     @property
-    def final(self) -> MeanFieldState:
-        return self.steps[-1]
+    def broken(self) -> bool:
+        """Some network has no survivors left: the breakdown that a critical
+        attack size measures. Survivor counts never rise, so it is sealed."""
+        return any(s < 1.0 for s in self.survivors)
+
+    @property
+    def non_converged(self) -> bool:
+        return self.outcome is Outcome.NON_CONVERGED
 
     def surviving_portion(self, node_counts: tuple[int, ...]) -> float:
         """Surviving nodes across the whole system over total initial nodes."""
-        total = sum(node_counts)
-        return sum(n for n in self.final.n_alive) / total
+        return sum(self.survivors) / sum(node_counts)
 
 
 def _routed_inbound(pools: list[float], coupling: CouplingMatrix,
@@ -106,27 +114,8 @@ def _routed_inbound(pools: list[float], coupling: CouplingMatrix,
     return recv
 
 
-def mf_classify_initiation(state0: MeanFieldState,
-                           space_min: tuple[float, ...]) -> tuple[InitiationCase, tuple[int, ...]]:
-    """Which networks the initial redistribution triggers.
-
-    Returns the case plus the indices of the triggered networks (empty for
-    case 1, all for case 3).
-    """
-    if state0.t != 0:
-        raise MeanFieldError("initiation classification needs a t=0 state")
-    triggered = tuple(i for i, (q, s) in enumerate(zip(state0.q_cum, space_min)) if q >= s)
-    if not triggered:
-        return InitiationCase.CASE1, triggered
-    if len(triggered) == len(state0.q_cum):
-        return InitiationCase.CASE3, triggered
-    return InitiationCase.CASE2, triggered
-
-
 def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
-           strategy: CouplingStrategy, max_steps: int = DEFAULT_MAX_STEPS,
-           record_decisions: bool = False,
-           ) -> MeanFieldTrajectory | tuple[MeanFieldTrajectory, list[CouplingDecision]]:
+           strategy: CouplingStrategy, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
     """Iterate to a fixed point, asking the strategy for a coupling matrix
     each step (after failures are known, before the load lands). A fixed
     coupling (FCC) is decided at t = 0 and reused."""
@@ -213,7 +202,8 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
                     raise MeanFieldError(f"cumulative load decreased for network {i} at t={t}")
                 # Held load on an empty network moves next step; don't stop
                 # while more than one node's worth is still in flight.
-                if not abs(na - na_prev[i]) < 1.0 or (na < 1.0 and not h < loads[i]):
+                if not abs(na - na_prev[i]) < 1.0 or (
+                        na < 1.0 and not (h <= 0.0 or h < loads[i])):
                     settled = False
         q_cum, held = tuple(q_new), tuple(held)
         steps.append(MeanFieldState(t, tuple(f), tuple(n_alive), held, tuple(q_step), q_cum))
@@ -221,8 +211,9 @@ def mf_run(cfgs: list[NetworkConfig], attack: AttackSpec,
             no_new_failures = all(fi <= p + 1e-15 for fi, p in zip(f, ps))
             outcome, taken = (Outcome.NO_CASCADE if no_new_failures else Outcome.SURVIVED), t
             break
-    traj = MeanFieldTrajectory(steps, outcome, tuple(1.0 - fi for fi in steps[-1].f), taken)
-    return (traj, decisions) if record_decisions else traj
+    final = steps[-1]
+    return RunResult(tuple(1.0 - fi for fi in final.f), final.n_alive, taken, outcome,
+                     steps, decisions)
 
 
 def rkg_identical_step(q_prev: float, m: int, load_dist, space_dist,
@@ -272,12 +263,12 @@ def rkg_run(p: float, m: int, load_dist, space_dist,
     return qs, (1.0 - p) * dist_sf_geq(space_dist, m * q)
 
 
-def trajectory_to_csv(traj: MeanFieldTrajectory, path: str) -> None:
+def trajectory_to_csv(traj: RunResult, path: str) -> None:
     """Columns: t, network, f, n_alive, F, Q_step, Q_cum."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "network", "f", "n_alive", "F", "Q_step", "Q_cum"])
-        for st in traj.steps:
+        for st in traj.trajectory:
             for i in range(len(st.f)):
                 w.writerow([st.t, i, repr(st.f[i]), repr(st.n_alive[i]),
                             repr(st.total_extra[i]), repr(st.q_step[i]),

@@ -28,7 +28,7 @@ import numpy as np
 from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                    EdgeListTopology, ErdosRenyi, NetworkConfig, Topology)
 from .distributions import dist_mean, dist_sample
-from .meanfield import MeanFieldState, _routed_inbound
+from .meanfield import MeanFieldState, Outcome, RunResult, _routed_inbound
 from .strategies import FCC, SWO, CouplingStrategy, NetView, decide
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -52,9 +52,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
 
 @dataclass
 class NodePopulation:
@@ -69,15 +66,6 @@ class NodePopulation:
     @property
     def alive_count(self) -> int:
         return int(np.count_nonzero(self.alive))
-
-
-@dataclass(frozen=True)
-class SimOutcome:
-    final_fractions: tuple[float, ...]
-    steps: int
-    breakdown: bool
-    non_converged: bool = False
-    trajectory: list[MeanFieldState] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +160,6 @@ def generate_graph(topology: Topology, node_count: int, seed: int) -> Graph | No
     if isinstance(topology, EdgeListTopology):
         return read_edge_list(topology.path, node_count)
     raise SimulationError(f"unknown topology {topology!r}")
-
-
-def write_edge_list(graph: Graph, path: str) -> None:
-    """One "u v" pair per line, each undirected edge once."""
-    with open(path, "w") as fh:
-        for u in range(graph.node_count):
-            for v in graph.neighbors(u):
-                if u < v:
-                    fh.write(f"{u} {v}\n")
 
 
 def read_edge_list(path: str, node_count: int) -> Graph:
@@ -387,14 +366,15 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
            strategy: CouplingStrategy, seed: int,
            record_trajectory: bool = False,
            max_steps: int = DEFAULT_MAX_STEPS,
-           graphs: list[Graph | None] | None = None) -> SimOutcome:
+           graphs: list[Graph | None] | None = None) -> RunResult:
     """Sample populations, apply the attack, and cascade to a fixed point.
 
     Deterministic for a given seed. Pre-generated adjacency can be passed
     through `graphs` (one entry per network, None for fully connected) so
     repeated runs skip regeneration; otherwise each network's graph is
-    generated from `graph_seed(seed, i)`. Stops when a step kills no nodes and
-    leaves no outstanding pool, or when no node survives anywhere.
+    generated from `graph_seed(seed, i)`. Stops when no pool is left to
+    route, or when no node survives anywhere. The trajectory, an N-wide pass
+    per network per step, is recorded only when asked for.
     """
     n = len(cfgs)
     if len(attack.p) != n:
@@ -408,31 +388,30 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
         graphs = [generate_graph(c.topology, c.node_count, graph_seed(seed, i))
                   for i, c in enumerate(cfgs)]
     pops = [sample_population(cfg, rng, graph=g) for cfg, g in zip(cfgs, graphs)]
-    dead0, pools = [], []
+    dead0, pools, spared = [], [], []
     for pop, p in zip(pops, attack.p):
         victims, pool = apply_attack(pop, p, rng)
+        spared.append(pop.load.size - victims.size)
         if local_mode:  # a fully connected network beside a graph also steps node by node
             dead0.append(np.sort(victims))
             if pop.received is None:
                 pop.received = np.zeros(pop.load.size)
         pools.append(pool)
 
-    trajectory: list[MeanFieldState] | None = [] if record_trajectory else None
+    trajectory: list[MeanFieldState] = []
     if record_trajectory:
         _record(trajectory, 0, cfgs, pops, pools)
 
     newly_dead = dead0
     fixed = isinstance(strategy, FCC)  # decided on the first step, then reused
-    decision = None
+    decisions = []
     t = 0
-    while t < max_steps:
-        if all(p.alive_count == 0 for p in pops):
-            return SimOutcome(tuple(0.0 for _ in cfgs), t, True, trajectory=trajectory)
-        if all(pool <= 0.0 for pool in pools):
-            break
-        if decision is None or not fixed:
+    while (t < max_steps and any(p.alive_count for p in pops)
+           and not all(pool <= 0.0 for pool in pools)):
+        if not decisions or not fixed:
             views = _empirical_views(cfgs, attack, pops, pools, isinstance(strategy, SWO))
             decision = decide(strategy, views, t)
+        decisions.append(decision)
         if local_mode:
             newly_dead, pools = mc_step_local(pops, newly_dead, decision.matrix)
         else:
@@ -441,8 +420,12 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
         if record_trajectory:
             _record(trajectory, t, cfgs, pops, pools)
 
-    fractions = tuple(p.alive_count / c.node_count for p, c in zip(pops, cfgs))
-    breakdown = all(p.alive_count == 0 for p in pops)
-    return SimOutcome(fractions, t, breakdown,
-                      non_converged=(t >= max_steps and any(pl > 0 for pl in pools)),
-                      trajectory=trajectory)
+    alive = [p.alive_count for p in pops]
+    if not any(alive):
+        outcome = Outcome.BREAKDOWN
+    elif any(pool > 0.0 for pool in pools):  # cut off at max_steps
+        outcome = Outcome.NON_CONVERGED
+    else:
+        outcome = Outcome.NO_CASCADE if alive == spared else Outcome.SURVIVED
+    return RunResult(tuple(a / c.node_count for a, c in zip(alive, cfgs)),
+                     tuple(map(float, alive)), t, outcome, trajectory, decisions)

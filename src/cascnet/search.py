@@ -1,8 +1,8 @@
 """Robustness measurement: critical-attack-size search, attack sweeps,
 coupling-grid heatmaps, and strategy comparison batches.
 
-The critical attack size is located by bisection on the attack scale. The
-breakdown predicate treats the system as broken once at least one network
+The critical attack size is located by bisection on the attack scale. A
+run votes broken when `RunResult.broken` holds, once at least one network
 has lost every node: past that point the survival curve shows its sudden
 drop, which is the transition these searches are meant to locate. Runners
 built on the stochastic simulator decide breakdown by majority over a seed
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AttackSpec, Complete, CouplingMatrix, NetworkConfig
-from .meanfield import DEFAULT_MAX_STEPS as MF_MAX_STEPS, Outcome, mf_run
+from .meanfield import DEFAULT_MAX_STEPS as MF_MAX_STEPS, RunResult, mf_run
 from .montecarlo import (DEFAULT_MAX_STEPS as MC_MAX_STEPS, generate_graph,
                          graph_seed, mc_run)
 from .strategies import FCC, CouplingStrategy
@@ -82,13 +82,8 @@ class HeatmapResult:
 
 
 # ---------------------------------------------------------------------------
-# Runners: map an attack scale to (final fractions, breakdown flag)
+# Runners: map an attack scale to a breakdown verdict
 # ---------------------------------------------------------------------------
-
-def _broken(fractions: Sequence[float], node_counts: Sequence[int]) -> bool:
-    """A system is broken once some network has no survivors left."""
-    return any(f * n < 1.0 for f, n in zip(fractions, node_counts))
-
 
 def _unsettled(at: str, max_steps: int) -> SearchError:
     """A cut-off run has no final portion, and no verdict unless a network is empty."""
@@ -96,19 +91,20 @@ def _unsettled(at: str, max_steps: int) -> SearchError:
                        "with load still in flight, so its outcome is unknown")
 
 
+def _vote(run: RunResult, scale: float, max_steps: int) -> bool:
+    if run.non_converged and not run.broken:
+        raise _unsettled(f"scale {scale!r}", max_steps)
+    return run.broken
+
+
 def make_meanfield_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
                           attack_shape: Sequence[float],
                           max_steps: int = MF_MAX_STEPS) -> Callable[[float], bool]:
     """Deterministic breakdown predicate over the attack scale."""
-    counts = [c.node_count for c in cfgs]
 
     def runner(scale: float) -> bool:
         attack = AttackSpec(tuple(scale * s for s in attack_shape))
-        traj = mf_run(cfgs, attack, strategy, max_steps=max_steps)
-        broken = _broken(traj.final_fractions, counts)
-        if traj.outcome == Outcome.NON_CONVERGED and not broken:
-            raise _unsettled(f"scale {scale!r}", max_steps)
-        return broken
+        return _vote(mf_run(cfgs, attack, strategy, max_steps=max_steps), scale, max_steps)
 
     return runner
 
@@ -143,14 +139,9 @@ def make_montecarlo_runner(cfgs: list[NetworkConfig], strategy: CouplingStrategy
 
     def runner(scale: float) -> bool:
         attack = AttackSpec(tuple(scale * s for s in attack_shape))
-        broke = 0
-        for s in seeds:
-            out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
-                         graphs=cache.graphs(s))
-            broken = 0.0 in out.final_fractions  # fraction is count / N
-            if out.non_converged and not broken:
-                raise _unsettled(f"scale {scale!r}", max_steps)
-            broke += broken
+        broke = sum(_vote(mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
+                                 graphs=cache.graphs(s)), scale, max_steps)
+                    for s in seeds)
         return 2 * broke > len(seeds)
 
     return runner
@@ -220,11 +211,11 @@ def meanfield_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
     counts = tuple(c.node_count for c in cfgs)
     means = []
     for g in grid:
-        traj = mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strategy,
-                      max_steps=max_steps)
-        if traj.outcome == Outcome.NON_CONVERGED:
+        run = mf_run(cfgs, AttackSpec(tuple(g * s for s in attack_shape)), strategy,
+                     max_steps=max_steps)
+        if run.non_converged:
             raise _unsettled(f"scale {g!r}", max_steps)
-        means.append(traj.surviving_portion(counts))
+        means.append(run.surviving_portion(counts))
     return SweepResult(tuple(grid), tuple(means), (0.0,) * len(means), 1)
 
 

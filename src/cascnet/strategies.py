@@ -124,13 +124,6 @@ class CouplingDecision:
     objective_value: float | None = None  # SWO: swo_objective(matrix, views)
 
 
-def sbd_coefficients(n_alive_a: float, n_alive_b: float) -> tuple[float, float]:
-    total = n_alive_a + n_alive_b
-    if total <= 0:
-        raise StrategyError("SBD undefined with no survivors in either network")
-    return n_alive_a / total, n_alive_b / total
-
-
 def _sbd_matrix(views: list[NetView]) -> CouplingMatrix:
     weights = [max(v.n_alive, 0.0) for v in views]
     total = _sum(weights)

@@ -13,7 +13,7 @@ import pytest
 from cascnet.core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                           EdgeListTopology, ErdosRenyi, NetworkConfig)
 from cascnet.distributions import Point, ShiftedExponential, Uniform
-from cascnet.meanfield import mf_run, rkg_run
+from cascnet.meanfield import Outcome, mf_run, rkg_run
 from cascnet.montecarlo import (_edges_to_csr, apply_attack, mc_run,
                                 mc_step_complete, sample_population)
 from cascnet.search import (GraphCache, attack_sweep, critical_attack_size,
@@ -234,7 +234,7 @@ def test_criterion_7_property_suite():
 
     # (d) failed fraction and cumulative extra load never decrease
     traj = mf_run(identical_uniform_cfgs(10 ** 6), AttackSpec((0.5, 0.0)), SBD())
-    for prev, cur in zip(traj.steps, traj.steps[1:]):
+    for prev, cur in zip(traj.trajectory, traj.trajectory[1:]):
         assert all(c >= p - 1e-12 for p, c in zip(prev.f, cur.f))
         assert all(c >= p - 1e-12 for p, c in zip(prev.q_cum, cur.q_cum))
 
@@ -259,7 +259,7 @@ def test_criterion_7_property_suite():
             NetworkConfig(1, 2, Point(10.0), Point(50.0))]
     out = mc_run(tiny, AttackSpec((0.5, 0.0)),
                  FCC(CouplingMatrix.two_net(1.0, 1.0)), seed=1)
-    assert out.final_fractions == (0.0, 1.0) and not out.breakdown
+    assert out.final_fractions == (0.0, 1.0) and out.outcome is not Outcome.BREAKDOWN
 
     # (h) the single-group recursion reproduces a single-network run
     for p in (0.1, 0.3, 0.45):

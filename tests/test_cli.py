@@ -510,6 +510,19 @@ def test_cut_off_simulate_returns_2(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("strategy", ["sbd", "swo", "fcc"])
+def test_empty_network_with_zero_mean_load_settles(tmp_path, capsys, strategy):
+    # The attack empties network 0, whose mean load is 0: it holds no load,
+    # and holding none counts as settled even though none is below a mean of 0.
+    cfg = (BASE.replace("net0.load = point(75)", "net0.load = point(0)")
+           .replace("attack = 0.5,0", "attack = 1,0.1")
+           .replace("strategy = fcc", f"strategy = {strategy}"))
+    rc = main(["meanfield", "--config", write_cfg(tmp_path, cfg),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert "outcome=no_cascade" in capsys.readouterr().out
+
+
 def test_emit_config_is_parseable_from_defaults():
     cfg = parse_config(BASE)
     text = emit_config(cfg)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from cascnet.core import (AttackSpec, BarabasiAlbert, Complete, CouplingError,
                           CouplingMatrix, ErdosRenyi, NetworkConfig,
-                          is_valid_coupling, validate_coupling)
+                          validate_coupling)
 from cascnet.distributions import Point, Uniform
 
 
@@ -35,12 +35,13 @@ class TestCouplingMatrix:
             validate_coupling(CouplingMatrix.from_array([[1.3, -0.3], [0.5, 0.5]]))
 
     def test_is_valid_predicate(self):
-        assert is_valid_coupling(CouplingMatrix.two_net(1.0, 0.0))
-        assert not is_valid_coupling(CouplingMatrix.from_array([[0.9, 0.0], [0.0, 1.0]]))
+        validate_coupling(CouplingMatrix.two_net(1.0, 0.0))
+        with pytest.raises(CouplingError, match="row 0 sums to 0.9"):
+            validate_coupling(CouplingMatrix.from_array([[0.9, 0.0], [0.0, 1.0]]))
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_two_net_always_valid(self, a, b):
-        assert is_valid_coupling(CouplingMatrix.two_net(a, b))
+        validate_coupling(CouplingMatrix.two_net(a, b))
 
     def test_row_sum_tolerance_is_tight(self):
         # a 1e-6 row-sum error must be rejected

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascnet.distributions import (DistributionError, Point,
-                                   ShiftedExponential, Uniform, dist_cdf,
-                                   dist_mean, dist_sample, dist_sf_geq,
-                                   dist_sf_geq_arr)
+                                   ShiftedExponential, Uniform, dist_mean,
+                                   dist_sample, dist_sf_geq, dist_sf_geq_arr)
 
 
 class TestUniform:
@@ -18,15 +17,18 @@ class TestUniform:
         assert dist_mean(Uniform(10, 30)) == pytest.approx(20.0)
 
     def test_cdf_interpolates(self):
+        # P[X <= x] = 1 - P[X >= x] for a continuous law.
         u = Uniform(10, 65)
-        assert dist_cdf(u, 10) == 0.0
-        assert dist_cdf(u, 65) == 1.0
-        assert dist_cdf(u, 37.5) == pytest.approx(0.5)
+        assert 1.0 - dist_sf_geq(u, 10) == 0.0
+        assert 1.0 - dist_sf_geq(u, 65) == 1.0
+        assert 1.0 - dist_sf_geq(u, 37.5) == pytest.approx(0.5)
 
     def test_sf_geq_complements_cdf(self):
+        # Against the closed form 1 - clip((x - lo) / (hi - lo), 0, 1).
         u = Uniform(20, 180)
-        for x in (0.0, 20.0, 100.0, 180.0, 500.0):
-            assert dist_sf_geq(u, x) == pytest.approx(1.0 - dist_cdf(u, x))
+        for x, want in ((0.0, 1.0), (20.0, 1.0), (100.0, 0.5), (170.0, 0.0625),
+                        (180.0, 0.0), (500.0, 0.0)):
+            assert dist_sf_geq(u, x) == want
 
     def test_rejects_empty_interval(self):
         with pytest.raises(DistributionError):
@@ -59,8 +61,7 @@ class TestPoint:
         assert dist_mean(p) == 75.0
         assert dist_sf_geq(p, 75.0) == 1.0
         assert dist_sf_geq(p, 75.0001) == 0.0
-        assert dist_cdf(p, 74.9) == 0.0
-        assert dist_cdf(p, 75.0) == 1.0
+        assert dist_sf_geq(p, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("dist", [Uniform(20, 180), ShiftedExponential(20, 1 / 120),
@@ -86,9 +87,10 @@ def test_sample_moments(dist):
 
 @given(st.floats(-100, 400), st.floats(-100, 400))
 def test_cdf_monotone_uniform(a, b):
+    # P[X <= x] never falls, so P[X >= x] never rises.
     u = Uniform(20, 180)
     lo, hi = min(a, b), max(a, b)
-    assert dist_cdf(u, lo) <= dist_cdf(u, hi) + 1e-12
+    assert dist_sf_geq(u, hi) <= dist_sf_geq(u, lo) + 1e-12
 
 
 @given(st.floats(0, 1e6))

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cascnet.core import AttackSpec, CouplingMatrix, NetworkConfig
 from cascnet.distributions import Point, ShiftedExponential, Uniform
-from cascnet.meanfield import (InitiationCase, MeanFieldError, Outcome,
-                               mf_classify_initiation, mf_run,
+from cascnet.meanfield import (MeanFieldError, Outcome, mf_run,
                                rkg_identical_step, rkg_run, trajectory_to_csv)
 from cascnet.search import critical_attack_size, make_meanfield_runner
 from cascnet.strategies import FCC, SBD, SWO
@@ -25,7 +24,7 @@ def two_nets(space_a=Uniform(20, 180), space_b=Uniform(20, 180), load=Point(75.0
 def first_state(attack, matrix, cfgs=None):
     """The t = 0 state of a run under the fixed coupling `matrix`: the
     attack and its first redistribution."""
-    return mf_run(cfgs or two_nets(), AttackSpec(attack), FCC(matrix)).steps[0]
+    return mf_run(cfgs or two_nets(), AttackSpec(attack), FCC(matrix)).trajectory[0]
 
 
 class TestInit:
@@ -73,29 +72,12 @@ class TestInit:
             mf_run(two_nets(), AttackSpec((0.5,)), FCC(CouplingMatrix.identity(2)))
 
 
-class TestInitiationCases:
-    def test_no_network_triggered(self):
-        state = first_state((0.1, 0.0), CouplingMatrix.two_net(0.5, 0.5))
-        case, triggered = mf_classify_initiation(state, (20.0, 20.0))
-        assert case is InitiationCase.CASE1 and triggered == ()
-
-    def test_one_side_triggered(self):
-        state = first_state((0.5, 0.0), CouplingMatrix.two_net(0.5, 0.5))
-        case, triggered = mf_classify_initiation(state, (20.0, 20.0))
-        assert case is InitiationCase.CASE2 and triggered == (0,)
-
-    def test_all_triggered(self):
-        state = first_state((0.5, 0.5), CouplingMatrix.two_net(0.5, 0.5))
-        case, triggered = mf_classify_initiation(state, (20.0, 20.0))
-        assert case is InitiationCase.CASE3 and triggered == (0, 1)
-
-
 class TestStepGolden:
     def test_first_failure_fraction(self):
         # After the even split, A carries 37.5 per survivor; survivors with
         # space below 37.5 fail: f = 1 - 0.5 * (1 - 17.5/160) exactly.
         state1 = mf_run(two_nets(), AttackSpec((0.5, 0.0)),
-                        FCC(CouplingMatrix.two_net(0.5, 0.5))).steps[1]
+                        FCC(CouplingMatrix.two_net(0.5, 0.5))).trajectory[1]
         assert state1.t == 1
         assert state1.f[0] == pytest.approx(0.5546875, abs=1e-12)
         assert state1.f[1] == 0.0  # 18.75 is below B's minimum space of 20
@@ -105,7 +87,7 @@ class TestStepGolden:
 
     def test_monotone_failed_fraction_and_load(self):
         traj = mf_run(two_nets(), AttackSpec((0.5, 0.0)), SBD())
-        for prev, cur in zip(traj.steps, traj.steps[1:]):
+        for prev, cur in zip(traj.trajectory, traj.trajectory[1:]):
             for i in range(2):
                 assert cur.f[i] >= prev.f[i] - 1e-12
                 assert cur.q_cum[i] >= prev.q_cum[i] - 1e-12
@@ -136,8 +118,8 @@ class TestOutcomes:
         # A and must be forwarded to B instead of vanishing.
         traj = mf_run(two_nets(), AttackSpec((1.0, 0.0)),
                       FCC(CouplingMatrix.two_net(1.0, 1.0)))
-        assert traj.steps[0].q_cum[1] == pytest.approx(75.0)
-        assert traj.final.q_cum[1] >= 75.0
+        assert traj.trajectory[0].q_cum[1] == pytest.approx(75.0)
+        assert traj.trajectory[-1].q_cum[1] >= 75.0
 
 
 class TestThreeNetworks:
@@ -150,10 +132,10 @@ class TestThreeNetworks:
         shape = (1.0, 1.0, 1.0)
         crit = critical_attack_size(make_meanfield_runner(cfgs, SBD(), shape)).value
         attack = AttackSpec(tuple(0.95 * crit * s for s in shape))
-        traj, decisions = mf_run(cfgs, attack, SWO(), record_decisions=True)
+        traj = mf_run(cfgs, attack, SWO())
         assert traj.outcome is Outcome.SURVIVED
         assert min(traj.final_fractions) > 0.5
-        for dec in decisions:
+        for dec in traj.decisions:
             m = dec.matrix.as_array()
             assert (m == m[0]).all()
             assert abs(m[0].sum() - 1.0) <= 1e-12
@@ -211,7 +193,7 @@ class TestRkgRecursion:
 def test_fractions_stay_in_unit_interval(p, alpha, beta):
     traj = mf_run(two_nets(), AttackSpec((p, 0.0)),
                   FCC(CouplingMatrix.two_net(alpha, beta)), max_steps=5000)
-    for state in traj.steps:
+    for state in traj.trajectory:
         for i in range(2):
             assert -1e-12 <= state.f[i] <= 1.0 + 1e-12
             assert state.n_alive[i] >= -1e-6
@@ -224,5 +206,5 @@ def test_trajectory_csv_layout(tmp_path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "network", "f", "n_alive", "F", "Q_step", "Q_cum"]
-    assert len(rows) == 1 + 2 * len(traj.steps)
+    assert len(rows) == 1 + 2 * len(traj.trajectory)
     assert float(rows[1][2]) == pytest.approx(0.5)

@@ -11,12 +11,12 @@ import pytest
 from cascnet.core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                           EdgeListTopology, ErdosRenyi, NetworkConfig)
 from cascnet.distributions import Point, ShiftedExponential, Uniform
-from cascnet.meanfield import _routed_inbound
+from cascnet.meanfield import Outcome, _routed_inbound
 from cascnet.montecarlo import (Graph, NodePopulation, SimulationError,
                                 _edges_to_csr, _empirical_views, _pair_from_index,
                                 _record, apply_attack, generate_graph, mc_run,
                                 mc_step_complete, mc_step_local, read_edge_list,
-                                sample_population, write_edge_list)
+                                sample_population)
 from cascnet.search import GraphCache
 from cascnet import montecarlo
 from cascnet.strategies import FCC, SBD, SWO, StrategyError, decide
@@ -46,7 +46,7 @@ class TestHandTraced:
         out = mc_run(self.CFGS, AttackSpec((0.5, 0.0)),
                      FCC(CouplingMatrix.two_net(0.0, 1.0)), seed=1)
         assert out.final_fractions == (0.5, 1.0)
-        assert not out.breakdown
+        assert out.outcome is Outcome.NO_CASCADE
 
     def test_internal_load_kills_survivor_then_forwards(self):
         # alpha=1 drops 10 on A's survivor (space 5): it dies holding 20.
@@ -55,13 +55,13 @@ class TestHandTraced:
                      FCC(CouplingMatrix.two_net(1.0, 1.0)), seed=1,
                      record_trajectory=True)
         assert out.final_fractions == (0.0, 1.0)
-        assert not out.breakdown
+        assert out.outcome is Outcome.SURVIVED and out.broken
         final = out.trajectory[-1]
         assert final.q_cum[1] == pytest.approx(10.0)
 
     def test_full_attack_everywhere_is_breakdown(self):
         out = mc_run(self.CFGS, AttackSpec((1.0, 1.0)), SBD(), seed=1)
-        assert out.breakdown
+        assert out.outcome is Outcome.BREAKDOWN
         assert out.final_fractions == (0.0, 0.0)
 
 
@@ -234,9 +234,10 @@ class TestLocalStepOracle:
         g0 = graphs[0]
         if g0 is not None:
             v = int(np.argmax(np.diff(g0.indptr)))
-            pops[0].alive[g0.neighbors(v)] = False
+            nbrs = g0.indices[g0.indptr[v]:g0.indptr[v + 1]]
+            pops[0].alive[nbrs] = False
             pops[0].alive[v] = False
-            newly_dead[0] = np.union1d(newly_dead[0], np.append(g0.neighbors(v), v))
+            newly_dead[0] = np.union1d(newly_dead[0], np.append(nbrs, v))
         return pops, newly_dead
 
     @staticmethod
@@ -459,8 +460,8 @@ class TestCompleteRunsPinned:
             for seed in (0, 1):
                 out = mc_run(cfgs, AttackSpec(attack), strategy, seed=seed,
                              record_trajectory=True)
-                h.update(repr((out.final_fractions, out.steps, out.breakdown,
-                               out.non_converged)).encode())
+                h.update(repr((out.final_fractions, out.steps_taken,
+                               out.outcome is Outcome.BREAKDOWN, out.non_converged)).encode())
                 for s in out.trajectory:
                     h.update(repr([s.t] + [float(x) for x in s.f + s.n_alive + s.total_extra])
                              .encode())
@@ -474,7 +475,7 @@ class TestCompleteRunsPinned:
                 NetworkConfig(1, 500, Point(75.0), Uniform(20, 180), ErdosRenyi(6.0))]
         for nets, want in ((cfgs, ((0.7, 0.996), 2)), (cfgs[::-1], ((0.688, 1.0), 3))):
             out = mc_run(nets, AttackSpec((0.3, 0.0)), SBD(), seed=2)
-            assert (out.final_fractions, out.steps) == want
+            assert (out.final_fractions, out.steps_taken) == want
 
 
 class TestFixedCouplingDecidedOnce:
@@ -512,7 +513,7 @@ class TestFixedCouplingDecidedOnce:
             calls.clear()
             out = mc_run(cfgs, AttackSpec(attack), FCC(CouplingMatrix.two_net(alpha, beta)),
                          seed=7)
-            assert (out.final_fractions, out.steps) == (fractions, steps)
+            assert (out.final_fractions, out.steps_taken) == (fractions, steps)
             assert calls == [0]
 
     def test_no_decision_without_load_to_route(self, monkeypatch):
@@ -520,7 +521,7 @@ class TestFixedCouplingDecidedOnce:
         # A zero attack routes nothing, so even a wrong-size matrix passes.
         out = mc_run(self.COMPLETE, AttackSpec((0.0, 0.0)), FCC(CouplingMatrix.identity(3)),
                      seed=7)
-        assert out.final_fractions == (1.0, 1.0) and out.steps == 0 and calls == []
+        assert out.final_fractions == (1.0, 1.0) and out.steps_taken == 0 and calls == []
         with pytest.raises(StrategyError):
             mc_run(self.COMPLETE, AttackSpec((0.3, 0.0)), FCC(CouplingMatrix.identity(3)),
                    seed=7)
@@ -534,7 +535,7 @@ class TestDeterminism:
         a = mc_run(self.CFGS, AttackSpec((0.5, 0.0)), SBD(), seed=11)
         b = mc_run(self.CFGS, AttackSpec((0.5, 0.0)), SBD(), seed=11)
         assert a.final_fractions == b.final_fractions
-        assert a.steps == b.steps
+        assert a.steps_taken == b.steps_taken
 
     def test_different_seed_differs(self):
         a = mc_run(self.CFGS, AttackSpec((0.5, 0.0)), SBD(), seed=11)
@@ -650,7 +651,7 @@ class TestGraphs:
     def test_erdos_renyi_no_self_or_duplicate_edges(self):
         g = generate_graph(ErdosRenyi(10.0), 500, seed=9)
         for v in range(g.node_count):
-            nbrs = g.neighbors(v)
+            nbrs = g.indices[g.indptr[v]:g.indptr[v + 1]]
             assert v not in nbrs
             assert len(set(nbrs.tolist())) == nbrs.size
 
@@ -667,13 +668,16 @@ class TestGraphs:
         assert -2.8 <= slope <= -1.2
 
     def test_edge_list_round_trip(self, tmp_path):
+        def arcs(graph):
+            return set(zip(np.repeat(np.arange(200), np.diff(graph.indptr)).tolist(),
+                           graph.indices.tolist()))
+
         g = generate_graph(ErdosRenyi(6.0), 200, seed=1)
         path = tmp_path / "edges.txt"
-        write_edge_list(g, str(path))
+        path.write_text("".join(f"{u} {v}\n" for u, v in sorted(arcs(g)) if u < v))
         g2 = read_edge_list(str(path), 200)
         assert g2.edge_count == g.edge_count
-        for v in range(200):
-            assert sorted(g2.neighbors(v).tolist()) == sorted(g.neighbors(v).tolist())
+        assert arcs(g2) == arcs(g)
 
     def test_edge_list_of_comments_only_is_empty(self, tmp_path):
         path = tmp_path / "edges.txt"

@@ -4,8 +4,10 @@ import csv
 
 import pytest
 
-from cascnet.core import CouplingMatrix, NetworkConfig
+from cascnet.core import AttackSpec, CouplingMatrix, NetworkConfig
 from cascnet.distributions import Point, ShiftedExponential, Uniform
+from cascnet.meanfield import Outcome, mf_run
+from cascnet.montecarlo import mc_run
 from cascnet.search import (CriticalResult, GraphCache, HeatmapResult,
                             SearchError, SweepResult, attack_sweep,
                             compare_strategies, critical_attack_size,
@@ -79,6 +81,42 @@ class TestMontecarloRunner:
         cfgs = [NetworkConfig(i, 49, Point(1.0), Point(1e9)) for i in range(2)]
         runner = make_montecarlo_runner(cfgs, SBD(), (48 / 49, 0.0), seeds=[0])
         assert not runner(1.0)
+
+
+class TestBrokenAndOutcome:
+    """Both engines read one rule: a run is broken once some network is
+    empty, and its outcome is BREAKDOWN only once every network is."""
+
+    @staticmethod
+    def _runs(cfgs, attack, strategy):
+        return [mf_run(cfgs, AttackSpec(attack), strategy),
+                mc_run(cfgs, AttackSpec(attack), strategy, seed=0)]
+
+    def test_one_network_empty_is_broken_not_breakdown(self):
+        # A's nodes fail under their own load; B has room for all of it.
+        cfgs = [NetworkConfig(0, 1000, Point(10.0), Point(5.0)),
+                NetworkConfig(1, 1000, Point(10.0), Point(1e9))]
+        identity = FCC(CouplingMatrix.identity(2))
+        for attack, want in (((0.5, 0.0), Outcome.SURVIVED), ((1.0, 0.0), Outcome.NO_CASCADE)):
+            for run in self._runs(cfgs, attack, identity):
+                assert run.outcome is want
+                assert run.broken and run.final_fractions == (0.0, 1.0)
+
+    def test_breakdown_only_when_every_network_is_empty(self):
+        seen = set()
+        for attack in ((0.0, 0.0), (0.3, 0.0), (0.6, 0.2), (0.9, 0.0), (1.0, 1.0)):
+            for strategy in (SBD(), FCC(CouplingMatrix.two_net(0.8, 0.8))):
+                for run in self._runs(TestMontecarloRunner.CFGS, attack, strategy):
+                    empty = [s < 1.0 for s in run.survivors]
+                    assert (run.outcome is Outcome.BREAKDOWN) == all(empty)
+                    assert run.broken == any(empty)
+                    seen.add(run.outcome)
+        assert seen == {Outcome.NO_CASCADE, Outcome.SURVIVED, Outcome.BREAKDOWN}
+
+    def test_one_survivor_of_49_is_not_broken(self):
+        cfgs = [NetworkConfig(i, 49, Point(1.0), Point(1e9)) for i in range(2)]
+        for run in self._runs(cfgs, (48 / 49, 0.0), SBD()):
+            assert run.outcome is Outcome.NO_CASCADE and not run.broken
 
 
 class TestStepCap:

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cascnet.core import CouplingMatrix
 from cascnet.distributions import Point, ShiftedExponential, Uniform
 from cascnet.strategies import (FCC, SBD, SWO, NetView, StrategyError,
-                                _model_pool, decide, sbd_coefficients,
-                                swo_objective)
+                                _model_pool, decide, swo_objective)
 
 
 def make_view(n_alive=5e5, pool=1e7, q_cum=10.0, attack_frac=0.3,
@@ -64,9 +63,11 @@ def grid_objective(views, alphas, betas):
 
 class TestSbd:
     def test_coefficients_proportional_to_survivors(self):
-        assert sbd_coefficients(3e5, 1e5) == (0.75, 0.25)
-        with pytest.raises(StrategyError):
-            sbd_coefficients(0.0, 0.0)
+        views = [make_view(n_alive=3e5), make_view(n_alive=1e5)]
+        assert decide(SBD(), views, 1).matrix.m[0] == (0.75, 0.25)
+        # With no survivors anywhere there is nothing to weigh.
+        dead = [make_view(n_alive=0.0), make_view(n_alive=0.0)]
+        assert decide(SBD(), dead, 1).matrix == CouplingMatrix.identity(2)
 
     def test_matrix_rows_identical(self):
         views = [make_view(n_alive=3e5), make_view(n_alive=1e5)]
