@@ -14,7 +14,7 @@ from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingError,
                    NetworkConfig, Topology, validate_coupling)
 from .distributions import (DistributionError, DistributionSpec, Point,
                             ShiftedExponential, Uniform, dist_mean,
-                            dist_sample, dist_sf_geq)
+                            dist_sf_geq)
 from .meanfield import (MeanFieldState, Outcome, RunResult, mf_run,
                         rkg_identical_step, rkg_run, trajectory_to_csv)
 from .montecarlo import (Graph, NodePopulation, apply_attack, generate_graph,

@@ -81,7 +81,9 @@ class Point:
         return 1.0 if self.value >= x else 0.0
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value)
+        # A read-only zero-stride view: one float, however large n is. As a
+        # float, Point(1) and Point(1.0), which compare equal, draw equal arrays.
+        return np.broadcast_to(float(self.value), n)
 
 
 DistributionSpec = Uniform | ShiftedExponential | Point
@@ -108,7 +110,3 @@ def dist_sf_geq_arr(d: DistributionSpec, x) -> np.ndarray:
     if isinstance(d, Point):
         return (d.value >= x).astype(float)
     raise TypeError(f"unknown distribution {d!r}")
-
-
-def dist_sample(d: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    return d.sample(n, rng)

@@ -15,10 +15,22 @@ Two redistribution modes:
 
 Deaths are evaluated simultaneously after all shares of a step are placed,
 and a node fails when its received load strictly exceeds its free space.
+
+One seed samples the same populations in every run, so `mc_run` draws
+them once per (configs, seed) key and keeps the 4 most recent draws
+(`_drawn`): each network's read-only load and free-space arrays, and the
+generator state after the draw, from which the attack continues. An entry
+holds 8 bytes per node for each law that is not a point mass (a point mass
+draws one float), 1.6 MB for two 10^5-node networks with point loads. The
+draws hit whenever one key's runs come close together: the probes of a
+bisection over up to 4 seeds, a sweep's grid points (it loops seeds
+outside them) and strategy comparisons; a run on a key not among the last
+4 draws as before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +39,7 @@ import numpy as np
 
 from .core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                    EdgeListTopology, ErdosRenyi, NetworkConfig, Topology)
-from .distributions import dist_mean, dist_sample
+from .distributions import dist_mean
 from .meanfield import MeanFieldState, Outcome, RunResult, _routed_inbound
 from .strategies import FCC, SWO, CouplingStrategy, NetView, decide
 
@@ -187,10 +199,26 @@ def sample_population(cfg: NetworkConfig, rng: np.random.Generator,
                       graph: Graph | None = None) -> NodePopulation:
     """Fresh loads and free spaces on `graph` (None: fully connected, no `received`)."""
     n = cfg.node_count
-    load = dist_sample(cfg.load_dist, n, rng)
-    space = dist_sample(cfg.space_dist, n, rng)
+    load = cfg.load_dist.sample(n, rng)
+    space = cfg.space_dist.sample(n, rng)
     return NodePopulation(load=load, space=space, alive=np.ones(n, dtype=bool),
                           received=None if graph is None else np.zeros(n), graph=graph)
+
+
+@functools.lru_cache(maxsize=4)
+def _drawn(cfgs: tuple[NetworkConfig, ...], seed: int):
+    """Each network's (load, space) arrays, read-only, as `sample_population`
+    draws them in order from `default_rng(seed)`, and that generator's state
+    after the draw. Entries are immutable, so every caller may share them.
+    4 is the most keys a seed batch cycles through while reusing them: 3
+    seeds of one system, or one seed of 3 systems."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for cfg in cfgs:
+        pop = sample_population(cfg, rng)
+        pop.load.flags.writeable = pop.space.flags.writeable = False
+        arrays.append((pop.load, pop.space))
+    return tuple(arrays), rng.bit_generator.state
 
 
 def apply_attack(pop: NodePopulation, p: float, rng: np.random.Generator,
@@ -212,12 +240,17 @@ def apply_attack(pop: NodePopulation, p: float, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def mc_step_complete(pops: list[NodePopulation], pools: list[float],
-                     coupling: CouplingMatrix) -> list[float]:
+                     coupling: CouplingMatrix,
+                     counts: list[int] | None = None) -> list[float]:
     """One synchronous redistribution step; mutates populations in place and
     returns the next-step pools.
 
-    Every survivor of a network carries the same cumulative load, `shared`."""
-    live = [p.alive_count > 0 for p in pops]
+    Every survivor of a network carries the same cumulative load, `shared`.
+    `counts`, each network's survivor count, is read in place of counting
+    `alive` when given, and is then updated in place."""
+    if counts is None:
+        counts = [p.alive_count for p in pops]
+    live = [c > 0 for c in counts]
     for i, pool in enumerate(pools):
         if pool < 0:
             raise SimulationError(f"negative pool for network {i}")
@@ -229,10 +262,11 @@ def mc_step_complete(pops: list[NodePopulation], pools: list[float],
             continue
         if recv[k] == 0.0:
             continue
-        q_new = pop.shared + recv[k] / pop.alive_count
+        q_new = pop.shared + recv[k] / counts[k]
         newly = np.flatnonzero(pop.alive & (pop.space < q_new))
         pop.alive[newly] = False
         pop.shared = q_new
+        counts[k] -= newly.size
         next_pools[k] = float(pop.load[newly].sum()) + newly.size * q_new
     return next_pools
 
@@ -335,11 +369,13 @@ def _q_cum(pop: NodePopulation) -> float:
 
 def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
                      pops: list[NodePopulation], pools: list[float],
-                     with_q_cum: bool) -> list[NetView]:
-    """Views for `decide`; q_cum (read by SWO only) is 0 unless asked."""
+                     with_q_cum: bool, counts: list[int] | None = None) -> list[NetView]:
+    """Views for `decide`; q_cum (read by SWO only) is 0 unless asked.
+    `counts` are the survivor counts, counted from `alive` when not given."""
+    if counts is None:
+        counts = [p.alive_count for p in pops]
     views = []
-    for i, (cfg, pop) in enumerate(zip(cfgs, pops)):
-        count = pop.alive_count
+    for i, (cfg, pop, count) in enumerate(zip(cfgs, pops, counts)):
         views.append(NetView(
             n_alive=float(count), pool=pools[i],
             q_cum=_q_cum(pop) if count and with_q_cum else 0.0, attack_frac=attack.p[i],
@@ -349,10 +385,11 @@ def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
     return views
 
 
-def _record(traj: list[MeanFieldState], t: int, cfgs, pops, pools) -> None:
+def _record(traj: list[MeanFieldState], t: int, cfgs, pops, pools, counts=None) -> None:
+    if counts is None:
+        counts = [p.alive_count for p in pops]
     f, n_alive, q_cum = [], [], []
-    for cfg, pop in zip(cfgs, pops):
-        count = pop.alive_count
+    for cfg, pop, count in zip(cfgs, pops, counts):
         f.append(1.0 - count / cfg.node_count)
         n_alive.append(float(count))
         q_cum.append(_q_cum(pop) if count else 0.0)
@@ -369,7 +406,8 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
            graphs: list[Graph | None] | None = None) -> RunResult:
     """Sample populations, apply the attack, and cascade to a fixed point.
 
-    Deterministic for a given seed. Pre-generated adjacency can be passed
+    Deterministic for a given seed; the populations come from `_drawn`, so
+    a recent (cfgs, seed) key is not sampled again. Pre-generated adjacency can be passed
     through `graphs` (one entry per network, None for fully connected) so
     repeated runs skip regeneration; otherwise each network's graph is
     generated from `graph_seed(seed, i)`. Stops when no pool is left to
@@ -387,40 +425,45 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
     if graphs is None:
         graphs = [generate_graph(c.topology, c.node_count, graph_seed(seed, i))
                   for i, c in enumerate(cfgs)]
-    pops = [sample_population(cfg, rng, graph=g) for cfg, g in zip(cfgs, graphs)]
-    dead0, pools, spared = [], [], []
+    drawn, state = _drawn(tuple(cfgs), seed)
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.state = state  # where the draw left it
+    # A fully connected network beside a graph also steps node by node.
+    pops = [NodePopulation(load, space, np.ones(load.size, dtype=bool),
+                           np.zeros(load.size) if local_mode else None, g)
+            for (load, space), g in zip(drawn, graphs)]
+    dead0, pools, alive = [], [], []  # alive: survivor counts, kept per step
     for pop, p in zip(pops, attack.p):
         victims, pool = apply_attack(pop, p, rng)
-        spared.append(pop.load.size - victims.size)
-        if local_mode:  # a fully connected network beside a graph also steps node by node
+        alive.append(pop.load.size - victims.size)
+        if local_mode:
             dead0.append(np.sort(victims))
-            if pop.received is None:
-                pop.received = np.zeros(pop.load.size)
         pools.append(pool)
+    spared = list(alive)
 
     trajectory: list[MeanFieldState] = []
     if record_trajectory:
-        _record(trajectory, 0, cfgs, pops, pools)
+        _record(trajectory, 0, cfgs, pops, pools, alive)
 
     newly_dead = dead0
     fixed = isinstance(strategy, FCC)  # decided on the first step, then reused
     decisions = []
     t = 0
-    while (t < max_steps and any(p.alive_count for p in pops)
-           and not all(pool <= 0.0 for pool in pools)):
+    while t < max_steps and any(alive) and not all(pool <= 0.0 for pool in pools):
         if not decisions or not fixed:
-            views = _empirical_views(cfgs, attack, pops, pools, isinstance(strategy, SWO))
+            views = _empirical_views(cfgs, attack, pops, pools, isinstance(strategy, SWO),
+                                     alive)
             decision = decide(strategy, views, t)
         decisions.append(decision)
         if local_mode:
             newly_dead, pools = mc_step_local(pops, newly_dead, decision.matrix)
+            alive = [a - d.size for a, d in zip(alive, newly_dead)]
         else:
-            pools = mc_step_complete(pops, pools, decision.matrix)
+            pools = mc_step_complete(pops, pools, decision.matrix, alive)
         t += 1
         if record_trajectory:
-            _record(trajectory, t, cfgs, pops, pools)
+            _record(trajectory, t, cfgs, pops, pools, alive)
 
-    alive = [p.alive_count for p in pops]
     if not any(alive):
         outcome = Outcome.BREAKDOWN
     elif any(pool > 0.0 for pool in pools):  # cut off at max_steps

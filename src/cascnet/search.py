@@ -188,19 +188,18 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
         raise SearchError("the attack sweep needs at least one seed")
     cache = cache or GraphCache(cfgs)
     counts = np.array([c.node_count for c in cfgs], dtype=float)
-    means, stds = [], []
-    for g in grid:
-        attack = AttackSpec(tuple(g * s for s in attack_shape))
-        portions = []
-        for s in seeds:
-            out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps,
-                         graphs=cache.graphs(s))
+    attacks = [AttackSpec(tuple(g * s for s in attack_shape)) for g in grid]
+    portions: list[list[float]] = [[] for _ in grid]  # per point, in seed order
+    # Seeds outside the points: one seed's runs share its cached population.
+    for s in seeds:
+        graphs = cache.graphs(s)
+        for g, attack, runs in zip(grid, attacks, portions):
+            out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps, graphs=graphs)
             if out.non_converged:
                 raise _unsettled(f"scale {g!r}", max_steps)
-            portions.append(float(np.dot(out.final_fractions, counts) / counts.sum()))
-        means.append(float(np.mean(portions)))
-        stds.append(float(np.std(portions)))
-    return SweepResult(tuple(grid), tuple(means), tuple(stds), len(seeds))
+            runs.append(float(np.dot(out.final_fractions, counts) / counts.sum()))
+    return SweepResult(tuple(grid), tuple(float(np.mean(r)) for r in portions),
+                       tuple(float(np.std(r)) for r in portions), len(seeds))
 
 
 def meanfield_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,

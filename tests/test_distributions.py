@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from cascnet.distributions import (DistributionError, Point,
                                    ShiftedExponential, Uniform, dist_mean,
-                                   dist_sample, dist_sf_geq, dist_sf_geq_arr)
+                                   dist_sf_geq, dist_sf_geq_arr)
 
 
 class TestUniform:
@@ -77,12 +77,20 @@ def test_sf_geq_arr_matches_scalar(dist):
                                   Point(75.0)])
 def test_sample_moments(dist):
     rng = np.random.default_rng(7)
-    xs = dist_sample(dist, 200_000, rng)
+    xs = dist.sample(200_000, rng)
     assert xs.shape == (200_000,)
     assert float(xs.mean()) == pytest.approx(dist_mean(dist), rel=0.01)
     # empirical tail matches the analytic one at a mid-support point
     q = dist_mean(dist)
     assert float((xs >= q).mean()) == pytest.approx(dist_sf_geq(dist, q), abs=0.01)
+
+
+def test_point_sample_is_a_read_only_view():
+    xs = Point(75.0).sample(1000, np.random.default_rng(0))
+    assert np.array_equal(xs, np.full(1000, 75.0)) and xs.dtype == np.float64
+    assert xs.strides == (0,)
+    with pytest.raises(ValueError):
+        xs[0] = 1.0
 
 
 @given(st.floats(-100, 400), st.floats(-100, 400))

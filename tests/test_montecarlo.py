@@ -1,6 +1,7 @@
 """Node-level simulation: hand-traced cascades, conservation, graphs."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from cascnet.core import (AttackSpec, BarabasiAlbert, Complete, CouplingMatrix,
                           EdgeListTopology, ErdosRenyi, NetworkConfig)
 from cascnet.distributions import Point, ShiftedExponential, Uniform
-from cascnet.meanfield import Outcome, _routed_inbound
+from cascnet.meanfield import Outcome, RunResult, _routed_inbound
 from cascnet.montecarlo import (Graph, NodePopulation, SimulationError,
                                 _edges_to_csr, _empirical_views, _pair_from_index,
                                 _record, apply_attack, generate_graph, mc_run,
@@ -551,6 +552,61 @@ class TestDeterminism:
             cached = mc_run(cfgs, AttackSpec((0.5, 0.0)), SBD(), seed=seed,
                             graphs=GraphCache(cfgs).graphs(seed))
             assert own == cached
+
+
+class TestPopulationMemo:
+    """`mc_run` draws each (configs, seed) population once and keeps the few
+    most recent draws. A run on a kept draw must equal a run on a fresh one."""
+
+    COMPLETE = [NetworkConfig(0, 2000, Point(75.0), Uniform(20, 180)),
+                NetworkConfig(1, 2000, Uniform(50, 100), ShiftedExponential(20.0, 1 / 120.0))]
+    LOCAL = [NetworkConfig(0, 500, Point(75.0), Uniform(20, 180), ErdosRenyi(6.0)),
+             NetworkConfig(1, 500, Uniform(50, 100), Uniform(20, 180), BarabasiAlbert(6.0))]
+
+    def test_kept_and_evicted_draws_run_as_fresh_ones(self):
+        # Six keys, two runs each in a row, twice over: every second run
+        # hits, and each key is evicted before its next turn.
+        calls = [(cfgs, AttackSpec((p, 0.1)), strategy, seed)
+                 for _ in range(2) for seed in (0, 1, 2) for cfgs in (self.COMPLETE, self.LOCAL)
+                 for p, strategy in ((0.3, SBD()), (0.5, SWO()))]
+        montecarlo._drawn.cache_clear()
+        got = [mc_run(*call, record_trajectory=True) for call in calls]
+        info = montecarlo._drawn.cache_info()
+        assert (info.hits, info.misses) == (12, 12)
+        for call, out in zip(calls, got):
+            montecarlo._drawn.cache_clear()
+            want = mc_run(*call, record_trajectory=True)
+            for f in dataclasses.fields(RunResult):
+                assert repr(getattr(out, f.name)) == repr(getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("cfgs", [COMPLETE, LOCAL], ids=["complete", "local"])
+    def test_run_cannot_write_its_population(self, monkeypatch, cfgs):
+        pops = []
+
+        def spy(pop, p, rng):
+            pops.append(pop)
+            return apply_attack(pop, p, rng)
+
+        monkeypatch.setattr(montecarlo, "apply_attack", spy)
+        mc_run(cfgs, AttackSpec((0.3, 0.0)), SBD(), seed=5)
+        for pop in pops:
+            for arr in (pop.load, pop.space):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+    def test_one_draw_per_kept_key(self, monkeypatch):
+        draws = []
+
+        def counting(cfg, rng, graph=None):
+            draws.append(cfg)
+            return sample_population(cfg, rng, graph)
+
+        monkeypatch.setattr(montecarlo, "sample_population", counting)
+        montecarlo._drawn.cache_clear()
+        for p in (0.1, 0.3, 0.5):
+            for seed in (0, 1, 2):
+                mc_run(self.COMPLETE, AttackSpec((p, 0.0)), SBD(), seed=seed)
+        assert draws == self.COMPLETE * 3
 
 
 class TestLocalMatchesGlobal:
