@@ -12,18 +12,18 @@ failed, and the cumulative per-survivor extra load Q. One step:
 
 Load aimed at a network with no survivors is not lost: it is held for one
 step and then forwarded through that network's coupling row, renormalized
-over the networks that still have survivors (mirroring the node-level
-simulation). Iteration stops when every network's survivor count changes by
-less than one node and no empty network holds as much as its mean load (any
-load at all when that mean is 0), or when every network is empty
-(breakdown). Both engines return a `RunResult`.
+over the networks that still have survivors. `_routed_inbound` applies
+this rule here and in both node-level steps. Iteration stops when every
+network's survivor count changes by less than one node and no empty
+network holds as much as its mean load (any load at all when that mean is
+0), or when every network is empty (breakdown). Both engines return a
+`RunResult`.
 
 `mf_run` runs the whole recursion in one loop over per-run columns (node
 count, 1 - p, E[L], the space law's P[S >= x]): the attack at t = 0, then
 per step the failure phase, the strategy's decision, the coupling phase
 with its monotonicity check, and the settle test. A fixed coupling (FCC) is
-decided once, at t = 0, and reused on every later step. Load is routed by
-`_routed_inbound`, which the complete-graph Monte-Carlo step shares.
+decided once, at t = 0, and reused on every later step.
 """
 
 from __future__ import annotations

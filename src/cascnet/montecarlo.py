@@ -6,12 +6,15 @@ Two redistribution modes:
   shared equally by all survivors of the receiving network. Survivors of a
   network always carry the same cumulative extra load, kept as one float per
   network (`NodePopulation.shared`); no per-node `received` array is kept.
-* local: load moves along edges. One rule places every share: a dead node's
-  share for network j splits equally over its live neighbors in j's graph,
-  plus, for an out-net share, the live node with the same index in j. A
-  share with no live receiver goes to all live nodes of j. A share for a
-  network with no survivors skips the neighbor lists and is re-routed over
-  the survivors of every network, as any share stranded there would be.
+* local: load moves along edges. A dead node's share for network j splits
+  equally over its live neighbors in j's graph, plus, for an out-net share,
+  the live node with the same index in j. A share with no live receiver
+  goes to all live nodes of j.
+
+In both modes a network with no survivors follows the mean-field rule
+(`meanfield._routed_inbound`): it holds what is aimed at it for one step,
+then forwards its pool over its coupling row, renormalized over the
+networks that still have survivors, as equal shares per survivor.
 
 Deaths are evaluated simultaneously after all shares of a step are placed,
 and a node fails when its received load strictly exceeds its free space.
@@ -74,10 +77,6 @@ class NodePopulation:
     received: np.ndarray | None = None  # per node; None in a complete-graph run
     graph: Graph | None = None  # None: fully connected
     shared: float = 0.0  # every survivor's load in a complete-graph run
-
-    @property
-    def alive_count(self) -> int:
-        return int(np.count_nonzero(self.alive))
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +239,12 @@ def apply_attack(pop: NodePopulation, p: float, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def mc_step_complete(pops: list[NodePopulation], pools: list[float],
-                     coupling: CouplingMatrix,
-                     counts: list[int] | None = None) -> list[float]:
+                     coupling: CouplingMatrix, counts: list[int]) -> list[float]:
     """One synchronous redistribution step; mutates populations in place and
     returns the next-step pools.
 
     Every survivor of a network carries the same cumulative load, `shared`.
-    `counts`, each network's survivor count, is read in place of counting
-    `alive` when given, and is then updated in place."""
-    if counts is None:
-        counts = [p.alive_count for p in pops]
+    `counts`, each network's survivor count, is updated in place."""
     live = [c > 0 for c in counts]
     for i, pool in enumerate(pools):
         if pool < 0:
@@ -304,27 +299,28 @@ def _spread(graph: Graph, alive: np.ndarray, dead: np.ndarray, shares: np.ndarra
 
 
 def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
-                  coupling: CouplingMatrix) -> tuple[list[np.ndarray], list[float]]:
-    """One topology-aware step. newly_dead holds, per network, the nodes that
-    died in the previous step (their loads are being redistributed now).
-    Returns (next newly-dead index arrays, their carried-load totals)."""
-    n = len(pops)
-    live_counts = [p.alive_count for p in pops]
+                  pools: list[float], coupling: CouplingMatrix,
+                  counts: list[int]) -> tuple[list[np.ndarray], list[float]]:
+    """One topology-aware step; mutates populations and survivor `counts` in
+    place. newly_dead holds, per network, the nodes that died in the previous
+    step, and pools their carried load or the load an empty network holds.
+    Returns (next newly-dead index arrays, next pools)."""
+    live = [c > 0 for c in counts]
     parts: list[list] = [[] for _ in pops]  # receipts per receiving network
-    loose = [0.0] * n  # shares with no live receiver: network-wide fallback
-
-    for i in range(n):
-        dead = newly_dead[i]
-        if dead.size == 0:
+    # Network-wide shares: empty networks' pools, then shares with no live
+    # receiver. An empty network holds what is aimed at it for one step.
+    loose = _routed_inbound([0.0 if a else pool for a, pool in zip(live, pools)],
+                            coupling, live)
+    for i, dead in enumerate(newly_dead):
+        if dead.size == 0 or not live[i]:
             continue
         carried = pops[i].load[dead] + pops[i].received[dead]
-        for j in range(n):
+        for j, pop_j in enumerate(pops):
             frac = coupling.entry(i, j)
             if frac == 0.0:
                 continue
             shares = carried * frac
-            pop_j = pops[j]
-            if pop_j.graph is None or live_counts[j] == 0:
+            if pop_j.graph is None or not live[j]:
                 loose[j] += float(shares.sum())
                 continue
             # Out-net shares also reach the paired node (same index).
@@ -333,26 +329,24 @@ def mc_step_local(pops: list[NodePopulation], newly_dead: list[np.ndarray],
             parts[j] += receipts
             loose[j] += float(shares[~placeable].sum())
 
-    # Shares for a network without survivors go to the survivors of all.
-    stranded = sum(x for x, c in zip(loose, live_counts) if c == 0)
-    next_dead: list[np.ndarray] = []
-    next_pools: list[float] = []
+    next_dead, next_pools = [], []
     for k, pop in enumerate(pops):
+        if not live[k]:
+            next_dead.append(np.empty(0, np.int64))
+            next_pools.append(loose[k])
+            continue
         # One bincount over the receipts in placement order, so every node
         # adds up what it receives in one fixed sequence.
         part = parts[k]
         if len(part) > 1:
             part = [tuple(map(np.concatenate, zip(*part)))]
         buf = np.bincount(*part[0], minlength=pop.load.size) if part else np.zeros(pop.load.size)
-        if live_counts[k] > 0:
-            if loose[k] != 0.0:
-                np.add(buf, loose[k] / live_counts[k], out=buf, where=pop.alive)
-            if stranded > 0.0:
-                np.add(buf, stranded / sum(live_counts), out=buf, where=pop.alive)
+        if loose[k] != 0.0:
+            np.add(buf, loose[k] / counts[k], out=buf, where=pop.alive)
         pop.received += buf
-        newly = pop.alive & (pop.received > pop.space)
-        idx = np.nonzero(newly)[0]
+        idx = np.flatnonzero(pop.alive & (pop.received > pop.space))
         pop.alive[idx] = False
+        counts[k] -= idx.size
         next_dead.append(idx)
         next_pools.append(float((pop.load[idx] + pop.received[idx]).sum()))
     return next_dead, next_pools
@@ -369,11 +363,8 @@ def _q_cum(pop: NodePopulation) -> float:
 
 def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
                      pops: list[NodePopulation], pools: list[float],
-                     with_q_cum: bool, counts: list[int] | None = None) -> list[NetView]:
-    """Views for `decide`; q_cum (read by SWO only) is 0 unless asked.
-    `counts` are the survivor counts, counted from `alive` when not given."""
-    if counts is None:
-        counts = [p.alive_count for p in pops]
+                     with_q_cum: bool, counts: list[int]) -> list[NetView]:
+    """Views for `decide` on survivor `counts`; q_cum (SWO's) is 0 unless asked."""
     views = []
     for i, (cfg, pop, count) in enumerate(zip(cfgs, pops, counts)):
         views.append(NetView(
@@ -385,9 +376,7 @@ def _empirical_views(cfgs: list[NetworkConfig], attack: AttackSpec,
     return views
 
 
-def _record(traj: list[MeanFieldState], t: int, cfgs, pops, pools, counts=None) -> None:
-    if counts is None:
-        counts = [p.alive_count for p in pops]
+def _record(traj: list[MeanFieldState], t: int, cfgs, pops, pools, counts) -> None:
     f, n_alive, q_cum = [], [], []
     for cfg, pop, count in zip(cfgs, pops, counts):
         f.append(1.0 - count / cfg.node_count)
@@ -417,7 +406,6 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
     n = len(cfgs)
     if len(attack.p) != n:
         raise SimulationError(f"attack has {len(attack.p)} entries for {n} networks")
-    rng = np.random.default_rng(seed)
     local_mode = any(not isinstance(c.topology, Complete) for c in cfgs)
     if local_mode and len({c.node_count for c in cfgs}) != 1:
         raise SimulationError("local redistribution requires equal node counts")
@@ -432,7 +420,7 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
     pops = [NodePopulation(load, space, np.ones(load.size, dtype=bool),
                            np.zeros(load.size) if local_mode else None, g)
             for (load, space), g in zip(drawn, graphs)]
-    dead0, pools, alive = [], [], []  # alive: survivor counts, kept per step
+    dead0, pools, alive = [], [], []  # alive: survivor counts, updated by each step
     for pop, p in zip(pops, attack.p):
         victims, pool = apply_attack(pop, p, rng)
         alive.append(pop.load.size - victims.size)
@@ -456,8 +444,7 @@ def mc_run(cfgs: list[NetworkConfig], attack: AttackSpec,
             decision = decide(strategy, views, t)
         decisions.append(decision)
         if local_mode:
-            newly_dead, pools = mc_step_local(pops, newly_dead, decision.matrix)
-            alive = [a - d.size for a, d in zip(alive, newly_dead)]
+            newly_dead, pools = mc_step_local(pops, newly_dead, pools, decision.matrix, alive)
         else:
             pools = mc_step_complete(pops, pools, decision.matrix, alive)
         t += 1

@@ -187,7 +187,7 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
     if not seeds:
         raise SearchError("the attack sweep needs at least one seed")
     cache = cache or GraphCache(cfgs)
-    counts = np.array([c.node_count for c in cfgs], dtype=float)
+    counts = tuple(c.node_count for c in cfgs)
     attacks = [AttackSpec(tuple(g * s for s in attack_shape)) for g in grid]
     portions: list[list[float]] = [[] for _ in grid]  # per point, in seed order
     # Seeds outside the points: one seed's runs share its cached population.
@@ -197,7 +197,7 @@ def attack_sweep(cfgs: list[NetworkConfig], strategy: CouplingStrategy,
             out = mc_run(cfgs, attack, strategy, seed=s, max_steps=max_steps, graphs=graphs)
             if out.non_converged:
                 raise _unsettled(f"scale {g!r}", max_steps)
-            runs.append(float(np.dot(out.final_fractions, counts) / counts.sum()))
+            runs.append(out.surviving_portion(counts))
     return SweepResult(tuple(grid), tuple(float(np.mean(r)) for r in portions),
                        tuple(float(np.std(r)) for r in portions), len(seeds))
 

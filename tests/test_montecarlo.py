@@ -31,7 +31,7 @@ def complete_graph(n: int) -> Graph:
 def held_extra(pop: NodePopulation) -> float:
     """Cumulative extra load held by a network's survivors."""
     if pop.received is None:  # complete graph: one shared load
-        return pop.alive_count * pop.shared
+        return np.count_nonzero(pop.alive) * pop.shared
     return float(pop.received[pop.alive].sum())
 
 
@@ -81,16 +81,18 @@ class TestLoadConservation:
             victims, pool = apply_attack(pop, p, rng)
             newly_dead.append(np.sort(victims))
             pools.append(pool)
+        counts = [int(np.count_nonzero(p.alive)) for p in pops]
         for _ in range(steps):
             held = sum(float(pop.load[pop.alive].sum()) + held_extra(pop)
                        for pop in pops) + sum(pools)
             assert held == pytest.approx(total, rel=1e-9)
-            if all(pl <= 0 for pl in pools) or all(p.alive_count == 0 for p in pops):
+            assert counts == [np.count_nonzero(p.alive) for p in pops]
+            if all(pl <= 0 for pl in pools) or not any(counts):
                 return pops
             if local:
-                newly_dead, pools = mc_step_local(pops, newly_dead, coupling)
+                newly_dead, pools = mc_step_local(pops, newly_dead, pools, coupling, counts)
             else:
-                pools = mc_step_complete(pops, pools, coupling)
+                pools = mc_step_complete(pops, pools, coupling, counts)
         raise AssertionError("cascade did not settle")
 
     def test_conserved_through_partial_cascade(self):
@@ -107,14 +109,58 @@ class TestLoadConservation:
         cfgs = [NetworkConfig(0, 2000, Point(75.0), Uniform(20, 180), ErdosRenyi(10.0)),
                 NetworkConfig(1, 2000, Point(75.0), Uniform(20, 180), ErdosRenyi(20.0))]
         pops = self._check(cfgs, AttackSpec((0.4, 0.0)), CouplingMatrix.two_net(0.6, 0.6), 3)
-        assert all(p.alive_count > 0 for p in pops)
-        assert any(p.alive_count < p.alive.size * 0.6 for p in pops)
+        assert all(p.alive.any() for p in pops)
+        assert any(np.count_nonzero(p.alive) < p.alive.size * 0.6 for p in pops)
 
     def test_local_conserved_through_breakdown(self):
         cfgs = [NetworkConfig(0, 1000, Point(75.0), Uniform(20, 180), BarabasiAlbert(6.0)),
                 NetworkConfig(1, 1000, Point(75.0), Uniform(20, 180), ErdosRenyi(8.0))]
         pops = self._check(cfgs, AttackSpec((0.75, 0.2)), CouplingMatrix.two_net(0.5, 0.5), 7)
-        assert all(p.alive_count == 0 for p in pops)
+        assert not any(p.alive.any() for p in pops)
+
+    def test_local_conserved_while_one_of_three_networks_is_empty(self):
+        # Network 0's narrow spaces fail under the attack's load; what is
+        # aimed at it afterwards is held and forwarded to the other two.
+        cfgs = [NetworkConfig(0, 1000, Point(75.0), Uniform(5, 40), ErdosRenyi(6.0)),
+                NetworkConfig(1, 1000, Point(75.0), Uniform(40, 280), BarabasiAlbert(6.0)),
+                NetworkConfig(2, 1000, Point(75.0), Uniform(40, 280), ErdosRenyi(8.0))]
+        coupling = CouplingMatrix.from_array([[0.6, 0.2, 0.2], [0.3, 0.5, 0.2],
+                                              [0.2, 0.2, 0.6]])
+        pops = self._check(cfgs, AttackSpec((0.5, 0.1, 0.1)), coupling, 5)
+        assert not pops[0].alive.any()
+        assert all(p.alive.any() for p in pops[1:])
+
+
+class TestLocalEmptyNetworkHoldsAndForwards:
+    """Three 4-node path graphs (0-1-2-3). Network 2 has no survivors; node 0
+    of network 0 has just died carrying 12. Row 0 sends half of that to
+    network 1 and half to network 2; row 2 forwards over networks 0 and 1."""
+
+    COUPLING = CouplingMatrix.from_array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0],
+                                          [0.2, 0.2, 0.6]])
+
+    def test_share_is_held_then_forwarded_per_survivor(self):
+        path = _edges_to_csr(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+        pops = [NodePopulation(load=np.full(4, 12.0), space=np.full(4, 100.0),
+                               alive=np.array(alive), received=np.zeros(4), graph=path)
+                for alive in ([False, True, True, True], [True] * 4, [False] * 4)]
+        counts = [3, 4, 0]
+        dead = [np.array([0]), np.empty(0, np.int64), np.empty(0, np.int64)]
+        dead, pools = mc_step_local(pops, dead, [12.0, 0.0, 0.0], self.COUPLING, counts)
+        # Network 1's 6 splits over the paired node 0 and its neighbor 1;
+        # network 2's 6 is held there as its pool.
+        assert pools == [0.0, 0.0, 6.0]
+        assert pops[1].received.tolist() == [3.0, 3.0, 0.0, 0.0]
+        assert pops[2].received.tolist() == [0.0] * 4
+        assert counts == [3, 4, 0] and all(d.size == 0 for d in dead)
+        # Row 2 over the live networks is (0.5, 0.5, 0): 3 to each, shared
+        # equally by its survivors, whatever their edges.
+        dead, pools = mc_step_local(pops, dead, pools, self.COUPLING, counts)
+        assert pools == [0.0, 0.0, 0.0]
+        assert pops[0].received.tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert pops[1].received.tolist() == [3.75, 3.75, 0.75, 0.75]
+        assert pops[2].received.tolist() == [0.0] * 4
+        assert counts == [3, 4, 0]
 
 
 # Reference local step: the per-pair expansion with np.add.at scatters that
@@ -131,14 +177,20 @@ def _reference_flat_neighbors(graph, nodes):
     return graph.indices[pos], owner
 
 
-def reference_step_local(pops, newly_dead, coupling):
+def reference_step_local(pops, newly_dead, pools, coupling, counts):
+    """Counts survivors from `alive` itself and writes them back to `counts`."""
     n = len(pops)
+    live = [bool(p.alive.any()) for p in pops]
     bufs = [np.zeros(p.load.size) for p in pops]
-    loose = [0.0] * n  # shares falling back to network-wide redistribution
+    # Network-wide shares. An empty network's pool is forwarded over its
+    # coupling row, renormalized over the live networks; what is aimed at an
+    # empty network is held there for one step.
+    loose = _routed_inbound([pool if not a else 0.0 for pool, a in zip(pools, live)],
+                            coupling, live)
 
     for i in range(n):
         dead = newly_dead[i]
-        if dead.size == 0:
+        if dead.size == 0 or not live[i]:
             continue
         carried = pops[i].load[dead] + pops[i].received[dead]
         for j in range(n):
@@ -147,64 +199,40 @@ def reference_step_local(pops, newly_dead, coupling):
                 continue
             shares = carried * frac
             pop_j = pops[j]
-            if i == j:
-                if pop_j.graph is None:
-                    loose[j] += float(shares.sum())
-                    continue
-                nbrs, owner = _reference_flat_neighbors(pop_j.graph, dead)
-                live = pop_j.alive[nbrs]
-                counts = np.bincount(owner[live], minlength=dead.size)
-                placeable = counts > 0
-                per = np.zeros(dead.size)
-                per[placeable] = shares[placeable] / counts[placeable]
-                np.add.at(bufs[j], nbrs[live], per[owner[live]])
-                loose[j] += float(shares[~placeable].sum())
-            else:
-                # Paired node (same index) plus its live neighbors.
-                if pop_j.graph is None:
-                    loose[j] += float(shares.sum())
-                    continue
+            if pop_j.graph is None or not live[j]:
+                loose[j] += float(shares.sum())
+                continue
+            nbrs, owner = _reference_flat_neighbors(pop_j.graph, dead)
+            live_nbr = pop_j.alive[nbrs]
+            receivers = np.bincount(owner[live_nbr], minlength=dead.size).astype(float)
+            if i != j:  # the paired node (same index) also receives
                 paired_alive = pop_j.alive[dead]
-                nbrs, owner = _reference_flat_neighbors(pop_j.graph, dead)
-                live = pop_j.alive[nbrs]
-                counts = np.bincount(owner[live], minlength=dead.size).astype(float)
-                counts += paired_alive
-                placeable = counts > 0
-                per = np.zeros(dead.size)
-                per[placeable] = shares[placeable] / counts[placeable]
-                np.add.at(bufs[j], nbrs[live], per[owner[live]])
+                receivers += paired_alive
+            placeable = receivers > 0
+            per = np.zeros(dead.size)
+            per[placeable] = shares[placeable] / receivers[placeable]
+            np.add.at(bufs[j], nbrs[live_nbr], per[owner[live_nbr]])
+            if i != j:
                 sel = paired_alive & placeable
                 np.add.at(bufs[j], dead[sel], per[sel])
-                loose[j] += float(shares[~placeable].sum())
-
-    # Network-wide fallbacks; re-rope to the other side when a network is empty.
-    live_counts = [p.alive_count for p in pops]
-    stranded = 0.0
-    for k in range(n):
-        if loose[k] == 0.0:
-            continue
-        if live_counts[k] > 0:
-            bufs[k][pops[k].alive] += loose[k] / live_counts[k]
-        else:
-            stranded += loose[k]
-    if stranded > 0.0:
-        total_live = sum(live_counts)
-        if total_live == 0:
-            pass  # breakdown; load has nowhere to go
-        else:
-            for k in range(n):
-                if live_counts[k] > 0:
-                    bufs[k][pops[k].alive] += stranded / total_live
+            loose[j] += float(shares[~placeable].sum())
 
     next_dead: list[np.ndarray] = []
     next_pools: list[float] = []
     for k, pop in enumerate(pops):
+        if not live[k]:
+            next_dead.append(np.empty(0, np.int64))
+            next_pools.append(loose[k])  # held for one step
+            continue
+        if loose[k] != 0.0:
+            bufs[k][pop.alive] += loose[k] / np.count_nonzero(pop.alive)
         pop.received += bufs[k]
         newly = pop.alive & (pop.received > pop.space)
         idx = np.nonzero(newly)[0]
         pop.alive[idx] = False
         next_dead.append(idx)
         next_pools.append(float((pop.load[idx] + pop.received[idx]).sum()))
+    counts[:] = [int(np.count_nonzero(p.alive)) for p in pops]
     return next_dead, next_pools
 
 
@@ -239,7 +267,10 @@ class TestLocalStepOracle:
             pops[0].alive[nbrs] = False
             pops[0].alive[v] = False
             newly_dead[0] = np.union1d(newly_dead[0], np.append(nbrs, v))
-        return pops, newly_dead
+        # Each network's pool is the load its newly dead carry; an empty
+        # network's is forwarded, the others' are read from the nodes.
+        pools = [float((p.load[d] + p.received[d]).sum()) for p, d in zip(pops, newly_dead)]
+        return pops, newly_dead, pools
 
     @staticmethod
     def _coupling(rng, n):
@@ -251,20 +282,26 @@ class TestLocalStepOracle:
     def _compare(self, graphs, dead_frac, empty=(), coupling=None):
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            pops, newly_dead = self._state(rng, graphs, dead_frac, empty)
+            pops, newly_dead, pools = self._state(rng, graphs, dead_frac, empty)
             matrix = self._coupling(rng, len(graphs)) if coupling is None else coupling
             ref_pops = copy.deepcopy(pops)
-            ref_dead = [d.copy() for d in newly_dead]
+            ref_dead, ref_pools = [d.copy() for d in newly_dead], list(pools)
+            counts = [int(np.count_nonzero(p.alive)) for p in pops]
+            ref_counts = list(counts)
             for _ in range(50):
-                newly_dead, pools = mc_step_local(pops, newly_dead, matrix)
-                ref_dead, ref_pools = reference_step_local(ref_pops, ref_dead, matrix)
+                newly_dead, pools = mc_step_local(pops, newly_dead, pools, matrix, counts)
+                ref_dead, ref_pools = reference_step_local(ref_pops, ref_dead, ref_pools,
+                                                           matrix, ref_counts)
                 assert pools == ref_pools
+                assert counts == ref_counts
                 for got, want, p, q in zip(newly_dead, ref_dead, pops, ref_pops):
                     assert np.array_equal(got, want)
                     assert np.array_equal(p.received, q.received)
                     assert np.array_equal(p.alive, q.alive)
-                if all(d.size == 0 for d in newly_dead):
+                if all(pool <= 0.0 for pool in pools):
                     break
+            else:
+                raise AssertionError("cascade did not settle")
 
     def test_er_and_ba_with_isolated_nodes(self):
         er = generate_graph(ErdosRenyi(1.5), self.N, seed=4)
@@ -302,8 +339,9 @@ class TestLocalStepOracle:
 
 # Reference complete step: the boolean-mask step that mc_step_complete
 # replaced. The fast step must reproduce it bit for bit.
-def reference_step_complete(pops, pools, coupling):
-    live = [p.alive_count > 0 for p in pops]
+def reference_step_complete(pops, pools, coupling, counts):
+    """Counts survivors from `alive` itself and writes them back to `counts`."""
+    live = [bool(p.alive.any()) for p in pops]
     for i, pool in enumerate(pools):
         if pool < 0:
             raise SimulationError(f"negative pool for network {i}")
@@ -315,7 +353,7 @@ def reference_step_complete(pops, pools, coupling):
             continue
         if recv[k] == 0.0:
             continue
-        count = pop.alive_count
+        count = np.count_nonzero(pop.alive)
         inc = recv[k] / count
         q_new = pop.shared + inc
         newly = pop.alive & (pop.space < q_new)
@@ -323,6 +361,7 @@ def reference_step_complete(pops, pools, coupling):
         pop.alive &= ~newly
         n_dead = int(np.count_nonzero(newly))
         next_pools[k] = float(pop.load[newly].sum()) + n_dead * q_new
+    counts[:] = [int(np.count_nonzero(p.alive)) for p in pops]
     return next_pools
 
 
@@ -358,14 +397,17 @@ class TestCompleteStepOracle:
             rng = np.random.default_rng(seed)
             pops, pools = self._state(rng, cfgs, dead_frac, empty, idle)
             ref_pops, ref_pools = copy.deepcopy(pops), list(pools)
+            counts = [int(np.count_nonzero(p.alive)) for p in pops]
+            ref_counts = list(counts)
             for t in range(100):
-                if all(pl <= 0 for pl in pools) or all(p.alive_count == 0 for p in pops):
+                if all(pl <= 0 for pl in pools) or not any(counts):
                     break
-                views = _empirical_views(cfgs, attack, pops, pools, True)
+                views = _empirical_views(cfgs, attack, pops, pools, True, counts)
                 matrix = decide(strategy, views, t).matrix
-                pools = mc_step_complete(pops, pools, matrix)
-                ref_pools = reference_step_complete(ref_pops, ref_pools, matrix)
+                pools = mc_step_complete(pops, pools, matrix, counts)
+                ref_pools = reference_step_complete(ref_pops, ref_pools, matrix, ref_counts)
                 assert pools == ref_pools
+                assert counts == ref_counts
                 for p, q in zip(pops, ref_pops):
                     assert np.array_equal(p.alive, q.alive)
                     assert p.shared == q.shared and p.received is q.received is None
@@ -407,9 +449,11 @@ class TestCompleteStepOracle:
             for pop in pops:
                 pop.alive[:4] = False
                 pop.shared = 40.0
-            pools = step(pops, [60.0, 60.0], CouplingMatrix.two_net(1.0, 1.0))
+            counts = [6, 6]
+            pools = step(pops, [60.0, 60.0], CouplingMatrix.two_net(1.0, 1.0), counts)
             assert pools == [0.0, 0.0]
-            assert all(p.alive_count == 6 for p in pops)
+            assert counts == [6, 6]
+            assert all(np.count_nonzero(p.alive) == 6 for p in pops)
             assert all(p.shared == 50.0 for p in pops)
 
 
@@ -428,9 +472,11 @@ def test_survivor_mean_load_matches_mask_gather():
             pop.received = rng.exponential(30.0, n)
         pops[2].shared = float(rng.exponential(30.0))
         want = [float(p.received[p.alive].mean()) for p in pops[:2]] + [pops[2].shared]
-        views = _empirical_views(cfgs, AttackSpec((0.3, 0.0, 0.0)), pops, [1.0] * 3, True)
+        counts = [int(np.count_nonzero(p.alive)) for p in pops]
+        views = _empirical_views(cfgs, AttackSpec((0.3, 0.0, 0.0)), pops, [1.0] * 3, True,
+                                 counts)
         traj = []
-        _record(traj, 0, cfgs, pops, [1.0] * 3)
+        _record(traj, 0, cfgs, pops, [1.0] * 3, counts)
         assert [v.q_cum for v in views] == want
         assert list(traj[0].q_cum) == want
 
@@ -787,7 +833,7 @@ class TestAttack:
         pop = sample_population(cfg, rng)
         victims, pool = apply_attack(pop, 0.37, rng)
         assert victims.size == 370
-        assert pop.alive_count == 630
+        assert np.count_nonzero(pop.alive) == 630
         assert pool == pytest.approx(float(pop.load[victims].sum()))
 
     def test_out_of_range_rejected(self):
